@@ -13,6 +13,7 @@ import (
 
 	"c2knn"
 	"c2knn/internal/core"
+	"c2knn/internal/delta"
 	"c2knn/internal/knng"
 	"c2knn/internal/recommend"
 )
@@ -78,12 +79,13 @@ func BenchmarkServeRecommendFrozen(b *testing.B) {
 	serveSetup(b)
 	p := benchEnv.MustPrepare("ml1M")
 	users := int32(p.Data.NumUsers())
+	view := delta.NewView(serveF, p.Data, nil)
 	sc := recommend.NewScorer(p.Data.NumItems)
 	rec := make([]int32, 0, 30)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec = sc.Recommend(p.Data, serveF, int32(i)%users, 30, rec[:0])
+		rec = sc.Recommend(view, int32(i)%users, 30, rec[:0])
 	}
 	_ = rec
 }

@@ -107,13 +107,22 @@
 // optionally the GoldFinger fingerprints) into a concurrency-safe
 // serving object: Neighbors, TopK and Recommend may be called from any
 // number of goroutines, with recommendation scratch pooled per caller
-// so steady-state queries touch no maps and allocate only the result.
+// so steady-state queries allocate only the result.
 //
 //	g, _ := c2knn.BuildC2(d, sim, c2knn.BuildOptions{})
 //	ix, _ := c2knn.NewIndex(g, d, sim)
 //	ix.Save("index.c2")              // build once ...
 //	ix, _ = c2knn.LoadIndex("index.c2") // ... load in milliseconds, many times
 //	items := ix.Recommend(42, 30)
+//
+// Every Index query runs one read path. The method resolves one
+// immutable view — the delta overlay's merged view when upserts are
+// enabled, otherwise the patch-free view of the frozen base — and
+// answers from it; recommendations are scored by the single
+// recommend.Scorer over that view. A plain index and the same index
+// with upserts enabled but none applied therefore answer
+// byte-identically. Out-of-range user ids and non-positive result
+// counts yield empty results, never a panic.
 //
 // # Snapshot format
 //
@@ -131,9 +140,11 @@
 // offset. Decoding validates framing, checksums, structural invariants
 // and cross-section user counts, and on any failure returns an error
 // and no snapshot — truncated files, flipped bytes, and version skew
-// never panic and never yield a partially populated index. Version-1
-// files (the legacy packed layout) still load, via the copy path only.
-// See internal/persist for the full specification.
+// never panic and never yield a partially populated index. Files of
+// any other format version, the retired packed version-1 layout
+// included, fail with ErrSnapshotVersion in every load mode: rebuild
+// them with the current c2build. See internal/persist for the full
+// specification.
 //
 // Because version-2 slabs are 64-byte-aligned, LoadIndex can serve an
 // index directly from a read-only memory mapping of the file: no

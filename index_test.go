@@ -4,14 +4,27 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"c2knn"
+	"c2knn/internal/dataset"
+	"c2knn/internal/knng"
+	"c2knn/internal/recommend"
 )
 
 // buildTestIndex constructs a small C²-built index over the ml1M preset.
 func buildTestIndex(tb testing.TB) *c2knn.Index {
+	tb.Helper()
+	_, _, ix := buildTestGraph(tb)
+	return ix
+}
+
+// buildTestGraph is buildTestIndex that also returns the unfrozen graph
+// and training dataset the index was built from.
+func buildTestGraph(tb testing.TB) (*c2knn.Dataset, *c2knn.Graph, *c2knn.Index) {
 	tb.Helper()
 	d, err := c2knn.Generate("ml1M", 0.05)
 	if err != nil {
@@ -26,7 +39,7 @@ func buildTestIndex(tb testing.TB) *c2knn.Index {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ix
+	return d, g, ix
 }
 
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
@@ -125,6 +138,23 @@ func TestIndexNeighborsZeroAlloc(t *testing.T) {
 }
 
 func TestIndexTopK(t *testing.T) {
+	// A hand-built row: TopK keeps the best k in similarity order,
+	// carries the stored float32 similarity, and stops at the degree.
+	g := knng.New(3, 3)
+	g.Insert(0, 1, 0.5)
+	g.Insert(0, 2, 0.9)
+	tiny, err := c2knn.NewIndex(g, dataset.New("tiny", [][]int32{{0}, {1}, {2}}, 3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := tiny.TopK(0, 1)
+	if len(top) != 1 || top[0].ID != 2 || top[0].Sim != float64(float32(0.9)) {
+		t.Errorf("TopK(0,1) = %+v, want neighbor 2 at 0.9", top)
+	}
+	if got := tiny.TopK(0, 10); len(got) != 2 {
+		t.Errorf("TopK beyond degree returned %d neighbors, want 2", len(got))
+	}
+
 	ix := buildTestIndex(t)
 	for u := int32(0); u < 20; u++ {
 		top := ix.TopK(u, 3)
@@ -185,18 +215,114 @@ func TestIndexBatchMatchesSerial(t *testing.T) {
 }
 
 // TestIndexOutOfRangeUsers: the request-facing methods must return
-// empty results for malformed user ids, not panic.
+// empty results for malformed user ids and for non-positive result
+// counts, not panic — with and without upserts enabled.
 func TestIndexOutOfRangeUsers(t *testing.T) {
-	ix := buildTestIndex(t)
-	for _, u := range []int32{-1, int32(ix.NumUsers()), int32(ix.NumUsers()) + 100} {
-		if ids, sims := ix.Neighbors(u); ids != nil || sims != nil {
-			t.Errorf("Neighbors(%d) = (%v, %v), want empty", u, ids, sims)
+	d, g, ix := buildTestGraph(t)
+	for _, upserts := range []bool{false, true} {
+		if upserts {
+			if err := ix.EnableUpserts(c2knn.UpsertConfig{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if top := ix.TopK(u, 5); top != nil {
-			t.Errorf("TopK(%d) = %v, want nil", u, top)
+		for _, u := range []int32{-1, int32(ix.NumUsers()), int32(ix.NumUsers()) + 100} {
+			if ids, sims := ix.Neighbors(u); ids != nil || sims != nil {
+				t.Errorf("upserts=%v: Neighbors(%d) = (%v, %v), want empty", upserts, u, ids, sims)
+			}
+			if top := ix.TopK(u, 5); top != nil {
+				t.Errorf("upserts=%v: TopK(%d) = %v, want nil", upserts, u, top)
+			}
+			if rec := ix.Recommend(u, 5); rec != nil {
+				t.Errorf("upserts=%v: Recommend(%d) = %v, want nil", upserts, u, rec)
+			}
 		}
-		if rec := ix.Recommend(u, 5); rec != nil {
-			t.Errorf("Recommend(%d) = %v, want nil", u, rec)
+		for _, n := range []int{-1, 0} {
+			if rec := ix.Recommend(0, n); len(rec) != 0 {
+				t.Errorf("upserts=%v: Recommend(0, %d) = %v, want empty", upserts, n, rec)
+			}
+			if recs := ix.RecommendBatch([]int32{0}, n); len(recs) != 1 || len(recs[0]) != 0 {
+				t.Errorf("upserts=%v: RecommendBatch([0], %d) = %v, want one empty result", upserts, n, recs)
+			}
+			if top := ix.TopK(0, n); len(top) != 0 {
+				t.Errorf("upserts=%v: TopK(0, %d) = %v, want empty", upserts, n, top)
+			}
+			if tops := ix.TopKBatch([]int32{0}, n); len(tops) != 1 || len(tops[0]) != 0 {
+				t.Errorf("upserts=%v: TopKBatch([0], %d) = %v, want one empty result", upserts, n, tops)
+			}
+		}
+	}
+	for _, n := range []int{-1, 0} {
+		if rec := c2knn.Recommend(d, g, 0, n); len(rec) != 0 {
+			t.Errorf("c2knn.Recommend(d, g, 0, %d) = %v, want empty", n, rec)
+		}
+	}
+}
+
+// TestIndexReadPathIdentity: an index with upserts enabled but none
+// applied reads through its overlay's view, a plain index through its
+// patch-free base view. Every answer must be byte-identical between
+// the two — nil-ness included, since it decides the JSON a server
+// writes — and Recommend must equal the map-based oracle over the
+// unfrozen graph, for every user.
+func TestIndexReadPathIdentity(t *testing.T) {
+	d, g, plain := buildTestGraph(t)
+	// The oracle reads the frozen rows back as a mutable graph: freezing
+	// rounds similarities to float32, and the oracle must sum the same
+	// values the scorer does (sums of a row's float32 values are exact
+	// in float64, so summation order cannot matter).
+	unfrozen := knng.New(plain.NumUsers(), plain.K())
+	for u := range unfrozen.Lists {
+		ids, sims := plain.Neighbors(int32(u))
+		for i, v := range ids {
+			unfrozen.Lists[u].Insert(v, float64(sims[i]))
+		}
+	}
+	ov, err := c2knn.NewIndex(g, d, plain.Similarity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.EnableUpserts(c2knn.UpsertConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	n := plain.NumUsers()
+	if ov.NumUsers() != n {
+		t.Fatalf("NumUsers: overlay %d, plain %d", ov.NumUsers(), n)
+	}
+	users := make([]int32, 0, n+2)
+	for u := -1; u <= n; u++ {
+		users = append(users, int32(u))
+	}
+	const nRec, k = 30, 10
+	for _, u := range users {
+		pids, psims := plain.Neighbors(u)
+		oids, osims := ov.Neighbors(u)
+		if !reflect.DeepEqual(pids, oids) || !reflect.DeepEqual(psims, osims) {
+			t.Fatalf("user %d: Neighbors differ between plain and overlay reads", u)
+		}
+		if p, o := plain.TopK(u, k), ov.TopK(u, k); !reflect.DeepEqual(p, o) {
+			t.Fatalf("user %d: TopK plain %v, overlay %v", u, p, o)
+		}
+		rec := plain.Recommend(u, nRec)
+		if o := ov.Recommend(u, nRec); !reflect.DeepEqual(rec, o) {
+			t.Fatalf("user %d: Recommend plain %v, overlay %v", u, rec, o)
+		}
+		if u < 0 || int(u) >= n {
+			continue
+		}
+		if want := recommend.Recommend(d, unfrozen, u, nRec); !slices.Equal(rec, want) {
+			t.Fatalf("user %d: Recommend %v, map oracle %v", u, rec, want)
+		}
+	}
+	if p, o := plain.RecommendBatch(users, nRec), ov.RecommendBatch(users, nRec); !reflect.DeepEqual(p, o) {
+		t.Fatal("RecommendBatch differs between plain and overlay reads")
+	}
+	if p, o := plain.TopKBatch(users, k), ov.TopKBatch(users, k); !reflect.DeepEqual(p, o) {
+		t.Fatal("TopKBatch differs between plain and overlay reads")
+	}
+	// One result-header slice plus one shared backing array per batch.
+	for name, ix := range map[string]*c2knn.Index{"plain": plain, "overlay": ov} {
+		if allocs := testing.AllocsPerRun(20, func() { ix.TopKBatch(users, k) }); allocs > 2 {
+			t.Errorf("%s TopKBatch allocates %.0f per batch, want 2", name, allocs)
 		}
 	}
 }

@@ -226,17 +226,7 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg 
 		o.deltaCoarse[fn] = make(map[uint32][]int32)
 		return frh.Stats{}
 	})
-	o.view.Store(&View{
-		graph:    graph,
-		train:    train,
-		gf:       gf,
-		baseN:    int32(n),
-		numUsers: int32(n),
-		numItems: train.NumItems,
-		rows:     map[int32]rowEntry{},
-		profiles: map[int32]profEntry{},
-		sigs:     map[int32]sigEntry{},
-	})
+	o.view.Store(NewView(graph, train, gf))
 	return o, nil
 }
 

@@ -7,7 +7,8 @@ import (
 )
 
 // View is one immutable published state of an overlay: the base
-// artifacts plus the patch maps of every user an upsert has touched.
+// artifacts plus the patch maps of every user an upsert has touched
+// (none, for a view made by NewView).
 // All methods are read-only, lock-free and allocation-free, and a View
 // stays internally consistent forever — readers resolve one View per
 // request and see a single point in the upsert sequence, whatever
@@ -47,6 +48,15 @@ type sigEntry struct {
 	words []uint64
 	ones  int32
 	seq   uint64
+}
+
+// NewView returns the patch-free view of a base snapshot: every read
+// resolves straight to graph and train. It is an overlay's initial view
+// and the read path of an index without one; gf may be nil when the
+// view only serves reads (it backs upsert scoring, not queries).
+func NewView(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set) *View {
+	n := int32(train.NumUsers())
+	return &View{graph: graph, train: train, gf: gf, baseN: n, numUsers: n, numItems: train.NumItems}
 }
 
 // NumUsers returns the number of users served: base plus delta.

@@ -9,6 +9,7 @@ import (
 	"runtime"
 
 	"c2knn/internal/core"
+	"c2knn/internal/delta"
 	"c2knn/internal/persist"
 	"c2knn/internal/recommend"
 )
@@ -140,7 +141,7 @@ func (e *Env) Load() (*LoadSummary, error) {
 				return
 			}
 			sc := recommend.NewScorer(s.Train.NumItems)
-			sink += len(sc.Recommend(s.Train, s.Graph, 0, nRec, nil))
+			sink += len(sc.Recommend(delta.NewView(s.Graph, s.Train, nil), 0, nRec, nil))
 			s.Close()
 		}
 	}
@@ -268,11 +269,13 @@ func snapshotsEqual(a, b *persist.Snapshot) error {
 func queriesEqual(a, b *persist.Snapshot, nRec int) error {
 	sca := recommend.NewScorer(a.Train.NumItems)
 	scb := recommend.NewScorer(b.Train.NumItems)
+	va := delta.NewView(a.Graph, a.Train, nil)
+	vb := delta.NewView(b.Graph, b.Train, nil)
 	users := a.Graph.NumUsers()
 	step := users/100 + 1
 	for u := 0; u < users; u += step {
-		ra := sca.Recommend(a.Train, a.Graph, int32(u), nRec, nil)
-		rb := scb.Recommend(b.Train, b.Graph, int32(u), nRec, nil)
+		ra := sca.Recommend(va, int32(u), nRec, nil)
+		rb := scb.Recommend(vb, int32(u), nRec, nil)
 		if len(ra) != len(rb) {
 			return fmt.Errorf("recommendation counts differ for user %d", u)
 		}

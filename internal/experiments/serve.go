@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"c2knn/internal/core"
+	"c2knn/internal/delta"
 	"c2knn/internal/recommend"
 )
 
@@ -53,6 +54,7 @@ func (e *Env) Serve() (*ServeSummary, error) {
 		K: e.K, B: b, T: t, MaxClusterSize: n, Workers: e.Workers, Seed: e.Seed,
 	})
 	frozen := g.Freeze()
+	view := delta.NewView(frozen, p.Data, nil)
 	users := p.Data.NumUsers()
 
 	// Enough query rounds to dominate timer noise on small populations.
@@ -68,7 +70,7 @@ func (e *Env) Serve() (*ServeSummary, error) {
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
 		for u := 0; u < users; u++ {
-			rec = sc.Recommend(p.Data, frozen, int32(u), nRec, rec[:0])
+			rec = sc.Recommend(view, int32(u), nRec, rec[:0])
 		}
 	}
 	frozenNs := float64(time.Since(start)) / float64(queries)
@@ -95,7 +97,7 @@ func (e *Env) Serve() (*ServeSummary, error) {
 			wrec := make([]int32, 0, nRec)
 			for r := 0; r < rounds; r++ {
 				for u := w; u < users; u += e.Workers {
-					wrec = wsc.Recommend(p.Data, frozen, int32(u), nRec, wrec[:0])
+					wrec = wsc.Recommend(view, int32(u), nRec, wrec[:0])
 				}
 			}
 		}(w)

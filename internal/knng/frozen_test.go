@@ -82,17 +82,23 @@ func TestFrozenNeighborsZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
+// TestFrozenTopK: a frozen row is stored best-first, so its first k
+// entries are the top k, carrying the stored float32 similarity, and
+// the row stops at the degree.
 func TestFrozenTopK(t *testing.T) {
 	g := New(3, 3)
 	g.Insert(0, 1, 0.5)
 	g.Insert(0, 2, 0.9)
 	f := g.Freeze()
-	top := f.TopK(0, 1, nil)
-	if len(top) != 1 || top[0].ID != 2 || top[0].Sim != float64(float32(0.9)) {
-		t.Errorf("TopK(0,1) = %+v, want neighbor 2 at 0.9", top)
+	ids, sims := f.Neighbors(0)
+	if len(ids) != 2 || f.Degree(0) != 2 {
+		t.Fatalf("row 0 holds %d neighbors (degree %d), want 2", len(ids), f.Degree(0))
 	}
-	if got := f.TopK(0, 10, nil); len(got) != 2 {
-		t.Errorf("TopK beyond degree returned %d neighbors, want 2", len(got))
+	if ids[0] != 2 || sims[0] != float32(0.9) {
+		t.Errorf("best neighbor = (%d, %v), want neighbor 2 at 0.9", ids[0], sims[0])
+	}
+	if ids[1] != 1 || sims[1] != float32(0.5) {
+		t.Errorf("second neighbor = (%d, %v), want neighbor 1 at 0.5", ids[1], sims[1])
 	}
 }
 

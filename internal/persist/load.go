@@ -20,10 +20,10 @@ import (
 	"unsafe"
 )
 
-// ErrMapUnavailable tags MapFile failures that mean "this file or
-// platform cannot be memory-mapped" rather than "this file is bad":
-// version-1 snapshots (unaligned layout), non-mmap platforms,
-// big-endian hosts, or an mmap syscall the filesystem refuses.
+// ErrMapUnavailable tags MapFile failures that mean "this platform
+// cannot memory-map the file" rather than "this file is bad": non-mmap
+// platforms, big-endian hosts, or an mmap syscall the filesystem
+// refuses.
 // LoadFileMode's auto mode falls back to copy-decode exactly when
 // errors.Is(err, ErrMapUnavailable); corruption never triggers
 // fallback, so a damaged file fails loudly on every path.
@@ -102,15 +102,16 @@ func (m *Mapping) Size() int {
 
 // MapFile maps the snapshot at path read-only and returns a Snapshot
 // whose artifacts view the mapping directly. Every section's CRC is
-// verified and bounds-validated before the snapshot is returned (see
-// the package comment on validation depth), so integrity cover equals
-// the copy path's. The returned snapshot's Mapping holds one reference;
+// verified and bounds-validated before the snapshot is returned by the
+// same decoder ReadFile runs (see the package comment on robustness),
+// so integrity cover equals the copy path's. The returned snapshot's Mapping holds one reference;
 // the caller owns it and must Release (via Snapshot.Close or a
 // take-over by c2knn.Index) when the views are no longer reachable.
 //
-// Files that cannot be mapped — version 1, non-mmap platform,
-// big-endian host — fail with ErrMapUnavailable; corrupt files fail
-// with ErrCorrupt. Use LoadFileMode for automatic fallback.
+// Hosts that cannot map the file — non-mmap platform, big-endian host —
+// fail with ErrMapUnavailable; corrupt files fail with ErrCorrupt and
+// other format versions with ErrVersion. Use LoadFileMode for automatic
+// fallback.
 func MapFile(path string) (*Snapshot, error) {
 	if !mmapSupported {
 		return nil, fmt.Errorf("%w: no mmap on this platform", ErrMapUnavailable)
@@ -138,11 +139,6 @@ func MapFile(path string) (*Snapshot, error) {
 		// An mmap refusal on an exotic filesystem is an availability
 		// problem, not a corruption one; let auto mode fall back.
 		return nil, fmt.Errorf("%w: mmap: %v", ErrMapUnavailable, err)
-	}
-	if len(data) >= 16 && string(data[:8]) == string(magic[:]) &&
-		binary.LittleEndian.Uint32(data[8:12]) == 1 {
-		munmap(data)
-		return nil, fmt.Errorf("%w: version-1 snapshots have no aligned layout", ErrMapUnavailable)
 	}
 	snap, err := decodeAll(data, true)
 	if err != nil {

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -65,14 +64,35 @@ func patchSection(tb testing.TB, data []byte, typ uint32, mutate func(payload []
 	return out
 }
 
-// decodeBothPaths runs the same image through the streaming copy
-// decoder and the whole-image view decoder (over an aligned copy) and
-// checks they agree on accept vs reject; it returns the copy path's
+// decode runs decodeAll in one mode: copy (owned structures, the
+// ReadFile path) or view (aliasing views over a 64-byte-aligned copy of
+// data, the MapFile path).
+func decode(data []byte, view bool) (*Snapshot, error) {
+	if view {
+		data = alignedCopy(data)
+	}
+	return decodeAll(data, view)
+}
+
+// forEachMode runs body once per decode mode, as subtests "copy" and
+// "view": one test per behaviour covers both load paths.
+func forEachMode(t *testing.T, body func(t *testing.T, view bool)) {
+	for _, view := range []bool{false, true} {
+		name := "copy"
+		if view {
+			name = "view"
+		}
+		t.Run(name, func(t *testing.T) { body(t, view) })
+	}
+}
+
+// decodeBothPaths decodes the same image in copy and view mode and
+// checks they agree on accept vs reject; it returns the copy mode's
 // result.
 func decodeBothPaths(tb testing.TB, data []byte) (*Snapshot, error) {
 	tb.Helper()
-	cs, cerr := Decode(bytes.NewReader(data))
-	vs, verr := decodeAll(alignedCopy(data), true)
+	cs, cerr := decode(data, false)
+	vs, verr := decode(data, true)
 	if (cerr == nil) != (verr == nil) {
 		tb.Fatalf("copy/view decoders disagree: copy err=%v, view err=%v", cerr, verr)
 	}
@@ -192,37 +212,6 @@ func TestMapFileMatchesReadFile(t *testing.T) {
 	sameSnapshotBits(t, mm, want)
 }
 
-// TestDecodeAllViewTruncated mirrors TestDecodeTruncated on the mmap
-// view path: every prefix of a valid image must be rejected.
-func TestDecodeAllViewTruncated(t *testing.T) {
-	data := encodeBytes(t, tinySnapshot(t))
-	for cut := 0; cut < len(data); cut++ {
-		snap, err := decodeAll(alignedCopy(data[:cut]), true)
-		if err == nil || snap != nil {
-			t.Fatalf("view decode of %d/%d-byte truncation: snap=%v err=%v", cut, len(data), snap, err)
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation at %d: error %v not tagged ErrCorrupt", cut, err)
-		}
-	}
-}
-
-// TestDecodeAllViewBitFlips mirrors TestDecodeBitFlips on the view
-// path: a flipped byte anywhere in the image must be detected before a
-// snapshot built on poisoned views escapes.
-func TestDecodeAllViewBitFlips(t *testing.T) {
-	data := encodeBytes(t, tinySnapshot(t))
-	mut := make([]byte, len(data))
-	for i := range data {
-		copy(mut, data)
-		mut[i] ^= 0xA5
-		snap, err := decodeAll(alignedCopy(mut), true)
-		if err == nil || snap != nil {
-			t.Fatalf("view decode missed flip at byte %d/%d: snap=%v err=%v", i, len(data), snap, err)
-		}
-	}
-}
-
 // TestMapFileRejectsCorruptFile: damage must fail loudly on the mmap
 // path with ErrCorrupt — not ErrMapUnavailable — so auto mode never
 // papers over a bad file by silently copy-decoding it.
@@ -258,14 +247,15 @@ func patchRaw(data []byte, at int) []byte {
 	return out
 }
 
-// --- version-1 compatibility ---
+// --- retired version-1 layout ---
 
 func le32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
 func le64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 
 // v1TinyFile hand-builds a version-1 snapshot file (packed layout, no
-// alignment padding) carrying tinySnapshot's graph and dataset, using
-// the v1 payload encodings this build no longer writes.
+// alignment padding) carrying tinySnapshot's graph and dataset, in the
+// retired v1 payload encodings — an input every load path must refuse
+// with ErrVersion.
 func v1TinyFile(tb testing.TB) ([]byte, *Snapshot) {
 	tb.Helper()
 	want := tinySnapshot(tb)
@@ -329,41 +319,6 @@ func v1File(graphPayload, dsPayload []byte) []byte {
 	return data
 }
 
-// TestV1CompatCopyOnly: version-1 files still decode on the copy path,
-// the mmap path declines them with ErrMapUnavailable (their packed
-// layout cannot back aligned views), and auto mode falls back to copy.
-func TestV1CompatCopyOnly(t *testing.T) {
-	data, want := v1TinyFile(t)
-	snap, err := Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("Decode(v1): %v", err)
-	}
-	sameFrozen(t, snap.Graph, want.Graph)
-	if snap.Train.Name != want.Train.Name || snap.Train.NumUsers() != want.Train.NumUsers() {
-		t.Fatalf("v1 dataset mismatch: %q/%d users", snap.Train.Name, snap.Train.NumUsers())
-	}
-
-	path := filepath.Join(t.TempDir(), "v1.c2")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MapFile(path); !errors.Is(err, ErrMapUnavailable) {
-		t.Fatalf("MapFile(v1) error = %v, want ErrMapUnavailable", err)
-	}
-	if _, err := LoadFileMode(path, LoadMMap); !errors.Is(err, ErrMapUnavailable) {
-		t.Fatalf("LoadFileMode(v1, mmap) error = %v, want ErrMapUnavailable", err)
-	}
-	auto, err := LoadFileMode(path, LoadAuto)
-	if err != nil {
-		t.Fatalf("LoadFileMode(v1, auto): %v", err)
-	}
-	defer auto.Close()
-	if auto.Mapping != nil {
-		t.Fatal("auto mode mapped a v1 file")
-	}
-	sameFrozen(t, auto.Graph, want.Graph)
-}
-
 // --- satellite regressions ---
 
 // TestDecodeUserCountBoundary pins the plausibility guard at exactly
@@ -402,12 +357,11 @@ func TestDecodeUserCountBoundary(t *testing.T) {
 }
 
 // TestDecodeDatasetLengthOverflow: a hostile profile length must be
-// rejected by the checked add, on both decode paths and in both format
-// versions. Pre-fix, the v2 decoder sliced the item slab with the raw
-// sum — a length like 0xFFFFFFFF panicked on slice bounds instead of
-// returning an error, and lengths crafted to wrap the uint64 total
-// could equal the declared ratings count while pointing profiles past
-// the slab.
+// rejected by the checked add, on both decode paths. Pre-fix, the
+// decoder sliced the item slab with the raw sum — a length like
+// 0xFFFFFFFF panicked on slice bounds instead of returning an error,
+// and lengths crafted to wrap the uint64 total could equal the
+// declared ratings count while pointing profiles past the slab.
 func TestDecodeDatasetLengthOverflow(t *testing.T) {
 	base := encodeBytes(t, tinySnapshot(t))
 	lay := func(p []byte) dsLayout {
@@ -421,27 +375,7 @@ func TestDecodeDatasetLengthOverflow(t *testing.T) {
 	})
 	_, err := decodeBothPaths(t, data)
 	if err == nil || !strings.Contains(err.Error(), "exceed") {
-		t.Fatalf("hostile v2 profile length: err=%v, want the lengths-exceed-ratings rejection", err)
-	}
-
-	// Same attack against the version-1 packed layout.
-	v1, _ := v1TinyFile(t)
-	snap, err := Decode(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 baseline decode: %v", err)
-	}
-	nameLen := 2 + len(snap.Train.Name) // u16 + name bytes
-	// v1 dataset section is the second section; find its payload by
-	// walking the packed framing.
-	off := 16
-	off += 12 + int(binary.LittleEndian.Uint64(v1[off+4:])) + 4 // skip graph section
-	lensOff := off + 12 + nameLen + 20
-	binary.LittleEndian.PutUint32(v1[lensOff:], 0xFFFFFFFF)
-	payStart, payLen := off+12, int(binary.LittleEndian.Uint64(v1[off+4:]))
-	binary.LittleEndian.PutUint32(v1[payStart+payLen:], crc32.Checksum(v1[payStart:payStart+payLen], crcTable))
-	_, err = Decode(bytes.NewReader(v1))
-	if err == nil || !strings.Contains(err.Error(), "exceed") {
-		t.Fatalf("hostile v1 profile length: err=%v, want the lengths-exceed-ratings rejection", err)
+		t.Fatalf("hostile profile length: err=%v, want the lengths-exceed-ratings rejection", err)
 	}
 }
 

@@ -15,7 +15,6 @@ package persist
 // cross-shard answers would mix graphs).
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -161,71 +160,68 @@ func EncodeManifest(w io.Writer, m *Manifest) error {
 	return err
 }
 
-// DecodeManifest reads a manifest from r. Like Decode it never panics
-// on hostile input and never returns a partially populated manifest:
-// the payload is checksummed, every length validated, and the decoded
-// layout must pass Validate.
+// DecodeManifest reads a manifest from r (to EOF). Like the snapshot
+// decoder it never panics on hostile input and never returns a
+// partially populated manifest: the payload is checksummed, every
+// length validated against the bytes present, and the decoded layout
+// must pass Validate.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
-	var hdr [20]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: manifest header: %v", ErrCorrupt, err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
-	if !bytes.Equal(hdr[:8], manifestMagic[:]) {
-		return nil, fmt.Errorf("%w: bad manifest magic %q", ErrCorrupt, hdr[:8])
+	if len(data) < 20 {
+		return nil, fmt.Errorf("%w: manifest header: file is %d bytes", ErrCorrupt, len(data))
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != ManifestVersion {
+	le := binary.LittleEndian
+	if !bytes.Equal(data[:8], manifestMagic[:]) {
+		return nil, fmt.Errorf("%w: bad manifest magic %q", ErrCorrupt, data[:8])
+	}
+	if v := le.Uint32(data[8:12]); v != ManifestVersion {
 		return nil, fmt.Errorf("%w: manifest has version %d, this build reads %d", ErrVersion, v, ManifestVersion)
 	}
-	length := binary.LittleEndian.Uint64(hdr[12:20])
-	// 16 bytes of fixed payload plus 34 per shard is the minimum; the
-	// section-style chunked read bounds memory against a lying length.
-	payload, err := readPayload(r, length)
-	if err != nil {
-		return nil, fmt.Errorf("%w: manifest payload: %v", ErrCorrupt, err)
+	// The payload and its CRC-32C must fill the rest of the file exactly.
+	length := le.Uint64(data[12:20])
+	if rest := uint64(len(data) - 20); rest < 4 || rest-4 != length {
+		return nil, fmt.Errorf("%w: manifest is %d bytes, header declares a %d-byte payload", ErrCorrupt, len(data), length)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(r, crc[:]); err != nil {
-		return nil, fmt.Errorf("%w: manifest checksum: %v", ErrCorrupt, err)
-	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(crc[:]); got != want {
+	payload := data[20 : len(data)-4]
+	if crc32.Checksum(payload, crcTable) != le.Uint32(data[len(data)-4:]) {
 		return nil, fmt.Errorf("%w: manifest checksum mismatch", ErrCorrupt)
-	}
-	var probe [1]byte
-	if _, err := io.ReadFull(r, probe[:]); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after manifest", ErrCorrupt)
 	}
 	if len(payload) < 16 {
 		return nil, fmt.Errorf("%w: manifest payload too short (%d bytes)", ErrCorrupt, len(payload))
 	}
-	d := &dec{b: payload}
-	m := &Manifest{}
-	m.Epoch = d.u64()
-	m.Buckets = int(d.u32())
-	count := d.u32()
+	m := &Manifest{Epoch: le.Uint64(payload[0:]), Buckets: int(le.Uint32(payload[8:]))}
+	count := le.Uint32(payload[12:])
 	if count == 0 || count > maxManifestShards {
 		return nil, fmt.Errorf("%w: implausible shard count %d", ErrCorrupt, count)
 	}
+	off := 16
 	for i := uint32(0); i < count; i++ {
-		if len(payload)-d.off < 34 {
+		// Each entry: u32 id · u32 lo · u32 hi · u64 epoch · u32 crc ·
+		// u64 users · u16 path length, then the path bytes.
+		if len(payload)-off < 34 {
 			return nil, fmt.Errorf("%w: manifest truncated inside shard %d", ErrCorrupt, i)
 		}
-		var sh ShardEntry
-		sh.ID = int(d.u32())
-		sh.Range.Lo = d.u32()
-		sh.Range.Hi = d.u32()
-		sh.Epoch = d.u64()
-		sh.CRC = d.u32()
-		sh.Users = int(d.u64())
-		pathLen := int(d.u16())
-		if len(payload)-d.off < pathLen {
+		e := payload[off : off+34]
+		off += 34
+		pathLen := int(le.Uint16(e[32:]))
+		if len(payload)-off < pathLen {
 			return nil, fmt.Errorf("%w: manifest truncated inside shard %d path", ErrCorrupt, i)
 		}
-		sh.Path = string(payload[d.off : d.off+pathLen])
-		d.off += pathLen
-		m.Shards = append(m.Shards, sh)
+		m.Shards = append(m.Shards, ShardEntry{
+			ID:    int(le.Uint32(e[0:])),
+			Range: frh.BucketRange{Lo: le.Uint32(e[4:]), Hi: le.Uint32(e[8:])},
+			Epoch: le.Uint64(e[12:]),
+			CRC:   le.Uint32(e[20:]),
+			Users: int(le.Uint64(e[24:])),
+			Path:  string(payload[off : off+pathLen]),
+		})
+		off += pathLen
 	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d stray bytes after the last shard entry", ErrCorrupt, len(payload)-d.off)
+	if off != len(payload) {
+		return nil, fmt.Errorf("%w: %d stray bytes after the last shard entry", ErrCorrupt, len(payload)-off)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -246,7 +242,7 @@ func ReadManifestFile(path string) (*Manifest, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return DecodeManifest(bufio.NewReader(f))
+	return DecodeManifest(f)
 }
 
 // FileCRC32C returns the CRC-32C of a file's full contents — the value

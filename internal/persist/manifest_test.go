@@ -221,7 +221,7 @@ func TestMaskFrozenAndPartition(t *testing.T) {
 	if err := Encode(&buf, shards[0]); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(bytes.NewReader(buf.Bytes()))
+	back, err := decodeAll(buf.Bytes(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,32 +53,27 @@
 // popcounts alongside signatures) precisely so views need no
 // recomputation.
 //
-// # Version 1 compatibility
-//
-// Readers also accept the legacy version-1 layout (no alignment,
-// degrees instead of offsets, no persisted popcounts); v1 files always
-// load through the copy path and get the full value-level validation
-// they always did. Writers emit version 2 only.
+// Any other version, including the retired packed version-1 layout,
+// is refused with ErrVersion on every load path: snapshots are
+// machine-local build artifacts, so the remedy is a rebuild.
 //
 // # Robustness
 //
-// Decode never panics on hostile input and never returns a partially
+// Loading never panics on hostile input and never returns a partially
 // populated snapshot: every length is validated against the payload
 // size before allocation, every payload is checksummed, framing pads
 // must be zero, cross-section user counts must agree, and any failure
 // returns (nil, error). Truncated files, flipped bytes, and version
 // skew are all detected, on the copy path and the mmap path alike.
 //
-// Validation depth differs by version. Version-1 payloads pass their
-// packages' full validators (knng.Frozen.Validate, dataset.Validate).
-// Version-2 payloads — on both load paths, so the two stay
-// accept/reject-identical — pass the bounds-level validators
-// (knng.Frozen.ValidateBounds, dataset.ValidateBounds,
-// goldfinger.FromParts): everything needed for memory-safe serving is
-// checked, while value-level invariants (adjacency sort order, profile
-// dedup, popcount accuracy) are vouched for by the CRC over the
-// encoder's output. Forging bytes past a CRC can skew answers; it
-// cannot move an access out of bounds.
+// Copy and mmap loads run the same decoder over the whole file image,
+// so the two accept and reject identically. Payloads pass the
+// bounds-level validators (knng.Frozen.ValidateBounds,
+// dataset.ValidateBounds, goldfinger.FromParts): everything needed for
+// memory-safe serving is checked, while value-level invariants
+// (adjacency sort order, profile dedup, popcount accuracy) are vouched
+// for by the CRC over the encoder's output. Forging bytes past a CRC
+// can skew answers; it cannot move an access out of bounds.
 //
 // # Snapshot files must be replaced, never edited in place
 //
@@ -116,8 +111,7 @@ import (
 	"c2knn/internal/knng"
 )
 
-// Version is the snapshot format version this build writes; Decode
-// additionally reads version 1.
+// Version is the snapshot format version this build writes and reads.
 const Version = 2
 
 var magic = [8]byte{'C', '2', 'S', 'N', 'A', 'P', '\r', '\n'}
@@ -131,9 +125,8 @@ const (
 	// three section types and each may appear once.
 	maxSections = 16
 	// maxSectionBytes is a sanity bound on a single section (1 TiB); a
-	// corrupted length field beyond it fails fast. Lengths below it that
-	// exceed the actual stream still fail cheaply: payloads are read in
-	// chunks, so memory grows only with bytes actually present.
+	// corrupted length field beyond it fails fast. Lengths below it are
+	// checked against the bytes actually present before any slicing.
 	maxSectionBytes = 1 << 40
 
 	// Plausibility bounds on decoded dimensions. User and item counts
@@ -375,160 +368,39 @@ func encodeGoldFinger(s *goldfinger.Set) []byte {
 	return b
 }
 
-// assembler accumulates decoded sections and runs the cross-section
-// checks; Decode (streaming) and decodeAll (whole-image, mmap) share it
-// so both load paths accept and reject identically.
-type assembler struct {
-	version uint32
-	view    bool
-	snap    Snapshot
-	seen    map[uint32]bool
-}
-
-func newAssembler(version uint32, view bool) *assembler {
-	return &assembler{version: version, view: view, seen: make(map[uint32]bool, 3)}
-}
-
-func (a *assembler) section(i uint32, typ uint32, payload []byte) error {
-	if a.seen[typ] {
-		return fmt.Errorf("%w: duplicate section type %d", ErrCorrupt, typ)
-	}
-	a.seen[typ] = true
-	var err error
-	switch typ {
-	case secGraph:
-		if a.version == 1 {
-			a.snap.Graph, err = decodeGraphV1(payload)
-		} else {
-			a.snap.Graph, err = decodeGraph(payload, a.view)
-		}
-	case secDataset:
-		if a.version == 1 {
-			a.snap.Train, err = decodeDatasetV1(payload)
-		} else {
-			a.snap.Train, err = decodeDataset(payload, a.view)
-		}
-	case secGoldFinger:
-		if a.version == 1 {
-			a.snap.GoldFinger, err = decodeGoldFingerV1(payload)
-		} else {
-			a.snap.GoldFinger, err = decodeGoldFinger(payload, a.view)
-		}
-	default:
-		err = fmt.Errorf("unknown section type %d", typ)
-	}
-	if err != nil {
-		return fmt.Errorf("%w: section %d: %v", ErrCorrupt, i, err)
-	}
-	return nil
-}
-
-func (a *assembler) finish() (*Snapshot, error) {
-	s := &a.snap
-	// Cross-section consistency: every artifact describes the same users.
-	if s.Graph != nil && s.Train != nil && s.Graph.NumUsers() != s.Train.NumUsers() {
-		return nil, fmt.Errorf("%w: graph has %d users, dataset %d",
-			ErrCorrupt, s.Graph.NumUsers(), s.Train.NumUsers())
-	}
-	if s.Graph != nil && s.GoldFinger != nil && s.Graph.NumUsers() != s.GoldFinger.NumUsers() {
-		return nil, fmt.Errorf("%w: graph has %d users, fingerprints %d",
-			ErrCorrupt, s.Graph.NumUsers(), s.GoldFinger.NumUsers())
-	}
-	return s, nil
-}
-
-// checkHeader validates the 16-byte file header and returns the version
-// and section count.
-func checkHeader(hdr []byte) (version, count uint32, err error) {
+// checkHeader validates the 16-byte file header and returns the section
+// count.
+func checkHeader(hdr []byte) (count uint32, err error) {
 	if !bytes.Equal(hdr[:8], magic[:]) {
-		return 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
+		return 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:8])
 	}
-	version = binary.LittleEndian.Uint32(hdr[8:12])
-	if version != 1 && version != Version {
-		return 0, 0, fmt.Errorf("%w: file has version %d, this build reads 1 and %d", ErrVersion, version, Version)
+	if version := binary.LittleEndian.Uint32(hdr[8:12]); version != Version {
+		return 0, fmt.Errorf("%w: file has version %d, this build reads %d", ErrVersion, version, Version)
 	}
 	count = binary.LittleEndian.Uint32(hdr[12:16])
 	if count == 0 || count > maxSections {
-		return 0, 0, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, count)
+		return 0, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, count)
 	}
-	return version, count, nil
+	return count, nil
 }
 
-// Decode reads a snapshot from r, accepting format versions 1 and 2.
-// This is the copy path: decoded structures own their memory and r is
-// read strictly forward in bounded chunks. On any error the returned
-// snapshot is nil — a decoded Snapshot is always complete and
-// validated.
-func Decode(r io.Reader) (*Snapshot, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
-	}
-	version, count, err := checkHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	asm := newAssembler(version, false)
-	off := uint64(16)
-	for i := uint32(0); i < count; i++ {
-		var sh [12]byte
-		if _, err := io.ReadFull(r, sh[:]); err != nil {
-			return nil, fmt.Errorf("%w: section %d header: %v", ErrCorrupt, i, err)
-		}
-		off += 12
-		typ := binary.LittleEndian.Uint32(sh[0:4])
-		length := binary.LittleEndian.Uint64(sh[4:12])
-		if version >= 2 {
-			var padBuf [64]byte
-			pad := pad64(off)
-			if _, err := io.ReadFull(r, padBuf[:pad]); err != nil {
-				return nil, fmt.Errorf("%w: section %d padding: %v", ErrCorrupt, i, err)
-			}
-			if !bytes.Equal(padBuf[:pad], zeros[:pad]) {
-				return nil, fmt.Errorf("%w: section %d has non-zero padding", ErrCorrupt, i)
-			}
-			off += uint64(pad)
-		}
-		payload, err := readPayload(r, length)
-		if err != nil {
-			return nil, fmt.Errorf("%w: section %d (type %d): %v", ErrCorrupt, i, typ, err)
-		}
-		off += length
-		var crc [4]byte
-		if _, err := io.ReadFull(r, crc[:]); err != nil {
-			return nil, fmt.Errorf("%w: section %d checksum: %v", ErrCorrupt, i, err)
-		}
-		off += 4
-		if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(crc[:]); got != want {
-			return nil, fmt.Errorf("%w: section %d (type %d) checksum mismatch", ErrCorrupt, i, typ)
-		}
-		if err := asm.section(i, typ, payload); err != nil {
-			return nil, err
-		}
-	}
-	// The stream must end exactly here; trailing bytes mean the header's
-	// section count was damaged (or the file was concatenated with junk).
-	var probe [1]byte
-	if _, err := io.ReadFull(r, probe[:]); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data after final section", ErrCorrupt)
-	}
-	return asm.finish()
-}
-
-// decodeAll decodes a complete in-memory snapshot image. With view set,
-// version-2 array slabs become unsafe.Slice views aliasing data (which
-// must then outlive the snapshot and have 64-byte-aligned backing — an
-// mmap, or a test buffer via alignedCopy); otherwise all structures own
-// their memory. Both modes run the same validation.
+// decodeAll decodes a complete in-memory snapshot image; it is the one
+// decoder behind both load paths. With view set, array slabs become
+// unsafe.Slice views aliasing data (which must then outlive the
+// snapshot and have 64-byte-aligned backing — an mmap, or a test buffer
+// via alignedCopy); otherwise all structures own their memory and data
+// may be dropped after the call. Both modes run the same framing, CRC,
+// bounds and cross-section checks, and on any failure return a nil
+// snapshot.
 func decodeAll(data []byte, view bool) (*Snapshot, error) {
 	if len(data) < 16 {
 		return nil, fmt.Errorf("%w: header: file is %d bytes", ErrCorrupt, len(data))
 	}
-	version, count, err := checkHeader(data[:16])
+	count, err := checkHeader(data[:16])
 	if err != nil {
 		return nil, err
 	}
-	asm := newAssembler(version, view)
+	s := &Snapshot{}
 	off := uint64(16)
 	size := uint64(len(data))
 	for i := uint32(0); i < count; i++ {
@@ -538,16 +410,14 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 		typ := binary.LittleEndian.Uint32(data[off:])
 		length := binary.LittleEndian.Uint64(data[off+4:])
 		off += 12
-		if version >= 2 {
-			pad := uint64(pad64(off))
-			if size-off < pad {
-				return nil, fmt.Errorf("%w: section %d padding: truncated", ErrCorrupt, i)
-			}
-			if !bytes.Equal(data[off:off+pad], zeros[:pad]) {
-				return nil, fmt.Errorf("%w: section %d has non-zero padding", ErrCorrupt, i)
-			}
-			off += pad
+		pad := uint64(pad64(off))
+		if size-off < pad {
+			return nil, fmt.Errorf("%w: section %d padding: truncated", ErrCorrupt, i)
 		}
+		if !bytes.Equal(data[off:off+pad], zeros[:pad]) {
+			return nil, fmt.Errorf("%w: section %d has non-zero padding", ErrCorrupt, i)
+		}
+		off += pad
 		if length > maxSectionBytes {
 			return nil, fmt.Errorf("%w: section %d (type %d): section length %d exceeds the %d-byte bound",
 				ErrCorrupt, i, typ, length, int64(maxSectionBytes))
@@ -562,69 +432,40 @@ func decodeAll(data []byte, view bool) (*Snapshot, error) {
 		if crc32.Checksum(payload, crcTable) != want {
 			return nil, fmt.Errorf("%w: section %d (type %d) checksum mismatch", ErrCorrupt, i, typ)
 		}
-		if err := asm.section(i, typ, payload); err != nil {
-			return nil, err
+		// A decoded artifact is never nil, so a non-nil field means its
+		// section type already appeared.
+		switch {
+		case typ == secGraph && s.Graph == nil:
+			s.Graph, err = decodeGraph(payload, view)
+		case typ == secDataset && s.Train == nil:
+			s.Train, err = decodeDataset(payload, view)
+		case typ == secGoldFinger && s.GoldFinger == nil:
+			s.GoldFinger, err = decodeGoldFinger(payload, view)
+		case typ >= secGraph && typ <= secGoldFinger:
+			err = fmt.Errorf("duplicate section type %d", typ)
+		default:
+			err = fmt.Errorf("unknown section type %d", typ)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: section %d: %v", ErrCorrupt, i, err)
 		}
 	}
 	if off != size {
 		return nil, fmt.Errorf("%w: trailing data after final section", ErrCorrupt)
 	}
-	return asm.finish()
-}
-
-// readPayload reads exactly length bytes in bounded chunks, so a
-// corrupted length field against a truncated stream fails after
-// allocating at most ~2× the bytes actually present.
-func readPayload(r io.Reader, length uint64) ([]byte, error) {
-	if length > maxSectionBytes {
-		return nil, fmt.Errorf("section length %d exceeds the %d-byte bound", length, int64(maxSectionBytes))
+	// Cross-section consistency: every artifact describes the same users.
+	if s.Graph != nil && s.Train != nil && s.Graph.NumUsers() != s.Train.NumUsers() {
+		return nil, fmt.Errorf("%w: graph has %d users, dataset %d",
+			ErrCorrupt, s.Graph.NumUsers(), s.Train.NumUsers())
 	}
-	const chunk = 1 << 20
-	capHint := length
-	if capHint > chunk {
-		capHint = chunk
+	if s.Graph != nil && s.GoldFinger != nil && s.Graph.NumUsers() != s.GoldFinger.NumUsers() {
+		return nil, fmt.Errorf("%w: graph has %d users, fingerprints %d",
+			ErrCorrupt, s.Graph.NumUsers(), s.GoldFinger.NumUsers())
 	}
-	buf := make([]byte, 0, capHint)
-	for uint64(len(buf)) < length {
-		n := length - uint64(len(buf))
-		if n > chunk {
-			n = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, fmt.Errorf("truncated payload: %v", err)
-		}
-	}
-	return buf, nil
+	return s, nil
 }
 
-// dec is a cursor over a fully checksummed payload; after the upfront
-// exact-size check the fixed-width reads cannot fail.
-type dec struct {
-	b   []byte
-	off int
-}
-
-func (d *dec) u16() uint16 {
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-// decodeGraph decodes a version-2 graph payload, as aliasing views when
+// decodeGraph decodes a graph payload, as aliasing views when
 // view is set (payload must be 64-byte-aligned) or as owned copies.
 func decodeGraph(payload []byte, view bool) (*knng.Frozen, error) {
 	if len(payload) < 64 {
@@ -655,7 +496,7 @@ func decodeGraph(payload []byte, view bool) (*knng.Frozen, error) {
 	return knng.NewFrozenView(int(k), offsets, ids, sims)
 }
 
-// decodeDataset decodes a version-2 dataset payload.
+// decodeDataset decodes a dataset payload.
 func decodeDataset(payload []byte, view bool) (*dataset.Dataset, error) {
 	if len(payload) < 64 {
 		return nil, fmt.Errorf("dataset payload too short (%d bytes)", len(payload))
@@ -781,7 +622,7 @@ func maxU32(xs []int32) uint32 {
 	return m0
 }
 
-// decodeGoldFinger decodes a version-2 fingerprint payload.
+// decodeGoldFinger decodes a fingerprint payload.
 func decodeGoldFinger(payload []byte, view bool) (*goldfinger.Set, error) {
 	if len(payload) < 64 {
 		return nil, fmt.Errorf("goldfinger payload too short (%d bytes)", len(payload))
@@ -805,116 +646,6 @@ func decodeGoldFinger(payload []byte, view bool) (*goldfinger.Set, error) {
 		return nil, err
 	}
 	return goldfinger.FromParts(int(bitsN), int(n), sigs, ones)
-}
-
-// --- version-1 payload decoders (copy only; full value-level validation) ---
-
-func decodeGraphV1(payload []byte) (*knng.Frozen, error) {
-	if len(payload) < 20 {
-		return nil, fmt.Errorf("graph payload too short (%d bytes)", len(payload))
-	}
-	d := &dec{b: payload}
-	k := d.u32()
-	n := d.u64()
-	m := d.u64()
-	if n > maxUsers || m > maxEdges || k > maxK {
-		return nil, fmt.Errorf("implausible graph dimensions: k=%d users=%d edges=%d", k, n, m)
-	}
-	if need := 20 + 4*n + 8*m; uint64(len(payload)) != need {
-		return nil, fmt.Errorf("graph payload is %d bytes, dimensions require %d", len(payload), need)
-	}
-	offsets := make([]int64, n+1)
-	var off int64
-	for u := uint64(0); u < n; u++ {
-		deg := d.u32()
-		off += int64(deg)
-		offsets[u+1] = off
-	}
-	if off != int64(m) {
-		return nil, fmt.Errorf("degrees sum to %d, header says %d edges", off, m)
-	}
-	ids := make([]int32, m)
-	for i := range ids {
-		ids[i] = int32(d.u32())
-	}
-	sims := make([]float32, m)
-	for i := range sims {
-		sims[i] = math.Float32frombits(d.u32())
-	}
-	return knng.NewFrozen(int(k), offsets, ids, sims)
-}
-
-func decodeDatasetV1(payload []byte) (*dataset.Dataset, error) {
-	if len(payload) < 2 {
-		return nil, fmt.Errorf("dataset payload too short (%d bytes)", len(payload))
-	}
-	d := &dec{b: payload}
-	nameLen := int(d.u16())
-	if len(payload) < 2+nameLen+20 {
-		return nil, fmt.Errorf("dataset payload too short for %d-byte name", nameLen)
-	}
-	name := string(payload[d.off : d.off+nameLen])
-	d.off += nameLen
-	numItems := d.u32()
-	n := d.u64()
-	ratings := d.u64()
-	if n > maxUsers || ratings > maxEdges || numItems > maxItems {
-		return nil, fmt.Errorf("implausible dataset dimensions: users=%d ratings=%d items=%d", n, ratings, numItems)
-	}
-	if need := uint64(2+nameLen+20) + 4*n + 4*ratings; uint64(len(payload)) != need {
-		return nil, fmt.Errorf("dataset payload is %d bytes, dimensions require %d", len(payload), need)
-	}
-	lens := make([]uint32, n)
-	var total uint64
-	for i := range lens {
-		lens[i] = d.u32()
-		// Checked add: a hostile length past the remaining ratings budget
-		// would wrap the uint64 sum given enough users; reject it before
-		// it accumulates.
-		if uint64(lens[i]) > ratings-total {
-			return nil, fmt.Errorf("profile lengths exceed the %d ratings the header declares", ratings)
-		}
-		total += uint64(lens[i])
-	}
-	if total != ratings {
-		return nil, fmt.Errorf("profile lengths sum to %d, header says %d ratings", total, ratings)
-	}
-	items := make([]int32, ratings)
-	for i := range items {
-		items[i] = int32(d.u32())
-	}
-	profiles := make([][]int32, n)
-	var at uint64
-	for u := range profiles {
-		profiles[u] = items[at : at+uint64(lens[u]) : at+uint64(lens[u])]
-		at += uint64(lens[u])
-	}
-	ds := &dataset.Dataset{Name: name, NumItems: int32(numItems), Profiles: profiles}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
-}
-
-func decodeGoldFingerV1(payload []byte) (*goldfinger.Set, error) {
-	if len(payload) < 12 {
-		return nil, fmt.Errorf("goldfinger payload too short (%d bytes)", len(payload))
-	}
-	d := &dec{b: payload}
-	bitsN := d.u32()
-	n := d.u64()
-	if bitsN == 0 || bitsN%64 != 0 || bitsN > maxBits || n > maxUsers {
-		return nil, fmt.Errorf("implausible fingerprint dimensions: bits=%d users=%d", bitsN, n)
-	}
-	words := uint64(bitsN / 64)
-	if need := 12 + 8*n*words; uint64(len(payload)) != need {
-		return nil, fmt.Errorf("goldfinger payload is %d bytes, dimensions require %d", len(payload), need)
-	}
-	sigs := make([]uint64, n*words)
-	for i := range sigs {
-		sigs[i] = d.u64()
-	}
-	return goldfinger.FromSignatures(int(bitsN), int(n), sigs)
 }
 
 // WriteFile atomically writes s to path: the snapshot is encoded to a
@@ -1001,13 +732,13 @@ func removeStaleTemps(dir, base string) {
 	}
 }
 
-// ReadFile loads a snapshot from path by copy-decode. LoadFile/
-// LoadFileMode select between this and the mmap path.
+// ReadFile loads a snapshot from path by copy-decode: the file is read
+// whole and decoded into heap-owned structures by the same decoder the
+// mmap path runs. LoadFile/LoadFileMode select between this and MapFile.
 func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Decode(bufio.NewReaderSize(f, 1<<20))
+	return decodeAll(data, false)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -75,9 +76,9 @@ func sameFrozen(tb testing.TB, got, want *knng.Frozen) {
 
 func TestRoundTripLosslessML1M(t *testing.T) {
 	want := ml1MSnapshot(t)
-	got, err := Decode(bytes.NewReader(encodeBytes(t, want)))
+	got, err := decodeAll(encodeBytes(t, want), false)
 	if err != nil {
-		t.Fatalf("Decode: %v", err)
+		t.Fatalf("decodeAll: %v", err)
 	}
 	sameFrozen(t, got.Graph, want.Graph)
 	if got.Train.Name != want.Train.Name || got.Train.NumItems != want.Train.NumItems {
@@ -142,7 +143,7 @@ func TestRoundTripPartialSnapshots(t *testing.T) {
 		{GoldFinger: full.GoldFinger},
 	}
 	for i, s := range cases {
-		got, err := Decode(bytes.NewReader(encodeBytes(t, s)))
+		got, err := decodeBothPaths(t, encodeBytes(t, s))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -169,48 +170,79 @@ func TestEncodeRejectsEmptyAndInvalid(t *testing.T) {
 }
 
 // TestDecodeTruncated: every strict prefix of a valid snapshot must fail
-// with an error, never panic, never return a snapshot.
+// with an error, never panic, never return a snapshot — in both decode
+// modes.
 func TestDecodeTruncated(t *testing.T) {
 	data := encodeBytes(t, tinySnapshot(t))
-	for cut := 0; cut < len(data); cut++ {
-		snap, err := Decode(bytes.NewReader(data[:cut]))
-		if err == nil || snap != nil {
-			t.Fatalf("truncation at %d/%d bytes: snap=%v err=%v", cut, len(data), snap, err)
+	forEachMode(t, func(t *testing.T, view bool) {
+		for cut := 0; cut < len(data); cut++ {
+			snap, err := decode(data[:cut], view)
+			if err == nil || snap != nil {
+				t.Fatalf("truncation at %d/%d bytes: snap=%v err=%v", cut, len(data), snap, err)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("truncation at %d: error %v not tagged ErrCorrupt", cut, err)
+			}
 		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncation at %d: error %v not tagged ErrCorrupt", cut, err)
-		}
-	}
+	})
 }
 
 // TestDecodeBitFlips: flipping any single byte anywhere in the snapshot
-// must be detected (magic, version, counts, lengths by framing checks;
-// payload bytes by CRC-32C, which catches all single-byte errors).
+// must be detected in both decode modes (magic, version, counts,
+// lengths by framing checks; payload bytes by CRC-32C, which catches
+// all single-byte errors) before a snapshot built on poisoned bytes
+// escapes.
 func TestDecodeBitFlips(t *testing.T) {
 	data := encodeBytes(t, tinySnapshot(t))
-	mut := make([]byte, len(data))
-	for i := range data {
-		copy(mut, data)
-		mut[i] ^= 0xA5
-		snap, err := Decode(bytes.NewReader(mut))
-		if err == nil || snap != nil {
-			t.Fatalf("flip at byte %d/%d undetected: snap=%v err=%v", i, len(data), snap, err)
+	forEachMode(t, func(t *testing.T, view bool) {
+		for i := range data {
+			snap, err := decode(patchRaw(data, i), view)
+			if err == nil || snap != nil {
+				t.Fatalf("flip at byte %d/%d undetected: snap=%v err=%v", i, len(data), snap, err)
+			}
 		}
-	}
+	})
 }
 
+// TestDecodeVersionSkew: a future version and the retired version-1
+// layout are both refused with ErrVersion — by either decode mode and
+// through every file load mode — rather than read as corruption or
+// handed to the copy fallback.
 func TestDecodeVersionSkew(t *testing.T) {
-	data := encodeBytes(t, tinySnapshot(t))
-	data[8] = Version + 1 // version field, little-endian
-	_, err := Decode(bytes.NewReader(data))
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-skew error = %v, want ErrVersion", err)
+	future := encodeBytes(t, tinySnapshot(t))
+	future[8] = Version + 1 // version field, little-endian
+	v1, _ := v1TinyFile(t)
+	for name, data := range map[string][]byte{"future": future, "v1": v1} {
+		t.Run(name, func(t *testing.T) {
+			forEachMode(t, func(t *testing.T, view bool) {
+				if _, err := decode(data, view); !errors.Is(err, ErrVersion) {
+					t.Fatalf("decode error = %v, want ErrVersion", err)
+				}
+			})
+			path := filepath.Join(t.TempDir(), name+".c2")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadFile(path); !errors.Is(err, ErrVersion) {
+				t.Fatalf("ReadFile error = %v, want ErrVersion", err)
+			}
+			wantMap := ErrVersion
+			if !mmapSupported || !hostLittleEndian {
+				wantMap = ErrMapUnavailable
+			}
+			if _, err := MapFile(path); !errors.Is(err, wantMap) {
+				t.Fatalf("MapFile error = %v, want %v", err, wantMap)
+			}
+			if _, err := LoadFileMode(path, LoadAuto); !errors.Is(err, ErrVersion) {
+				t.Fatalf("LoadFileMode(auto) error = %v, want ErrVersion", err)
+			}
+		})
 	}
 }
 
 func TestDecodeTrailingGarbage(t *testing.T) {
 	data := append(encodeBytes(t, tinySnapshot(t)), 0xFF)
-	if snap, err := Decode(bytes.NewReader(data)); err == nil || snap != nil {
+	if snap, err := decodeBothPaths(t, data); err == nil || snap != nil {
 		t.Fatalf("trailing garbage undetected: snap=%v err=%v", snap, err)
 	}
 }
@@ -224,20 +256,20 @@ func TestDecodeEmptyAndGarbageInputs(t *testing.T) {
 		bytes.Repeat([]byte{0}, 64),
 	}
 	for i, in := range inputs {
-		if snap, err := Decode(bytes.NewReader(in)); err == nil || snap != nil {
+		if snap, err := decodeBothPaths(t, in); err == nil || snap != nil {
 			t.Fatalf("input %d accepted: snap=%v err=%v", i, snap, err)
 		}
 	}
 }
 
 // TestDecodeLyingLength: a section header claiming a huge payload over a
-// truncated stream must fail without attempting a giant allocation.
+// truncated image must fail on the bounds check, before any slicing.
 func TestDecodeLyingLength(t *testing.T) {
 	data := encodeBytes(t, tinySnapshot(t))
 	// Section 1 header starts at offset 16; its length field at 16+4.
 	// Claim ~1 GiB.
 	data[20], data[21], data[22], data[23] = 0, 0, 0, 0x40
-	if snap, err := Decode(bytes.NewReader(data[:64])); err == nil || snap != nil {
+	if snap, err := decodeBothPaths(t, data[:64]); err == nil || snap != nil {
 		t.Fatalf("lying length undetected: snap=%v err=%v", snap, err)
 	}
 }
@@ -257,7 +289,7 @@ func TestDecodeMismatchedUserCounts(t *testing.T) {
 	data = append(data, 2, 0, 0, 0)     // section count 2
 	data = append(data, a[16:]...)      // graph section
 	data = append(data, b[16:]...)      // dataset section
-	if snap, err := Decode(bytes.NewReader(data)); err == nil || snap != nil {
+	if snap, err := decodeBothPaths(t, data); err == nil || snap != nil {
 		t.Fatalf("mismatched user counts undetected: snap=%v err=%v", snap, err)
 	}
 }
@@ -268,7 +300,7 @@ func BenchmarkDecodeML1M(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(bytes.NewReader(data)); err != nil {
+		if _, err := decodeAll(data, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"c2knn/internal/dataset"
+	"c2knn/internal/delta"
 	"c2knn/internal/knng"
 	"c2knn/internal/sets"
 )
@@ -74,8 +75,9 @@ type scored struct {
 }
 
 // rankScored orders ranked by decreasing score, ties by ascending item
-// id (deterministic), truncates to n, and extracts the item ids into
-// dst. Shared by the map-based reference path and the frozen scorer.
+// id (deterministic), truncates to n (callers pass n > 0), and extracts
+// the item ids into dst. Shared by the map-based reference path and the
+// serving scorer.
 func rankScored(ranked []scored, n int, dst []int32) []int32 {
 	slices.SortFunc(ranked, func(a, b scored) int {
 		if a.score != b.score {
@@ -99,10 +101,13 @@ func rankScored(ranked []scored, n int, dst []int32) []int32 {
 // neighbor's training profile but not in u's own, scored by the sum of
 // the recommending neighbors' similarities (classic user-based CF).
 // This is the build-structure reference path — it walks the mutable
-// graph and allocates a scoring map per call. Serving paths should
-// freeze the graph and recommend through a Scorer (or c2knn.Index),
-// which touches no maps and reuses all scratch.
+// graph and allocates a scoring map per call — and the test oracle for
+// the serving Scorer, which reads a frozen Source and reuses all
+// scratch. n <= 0 yields an empty result.
 func Recommend(train *dataset.Dataset, g *knng.Graph, u int32, n int) []int32 {
+	if n <= 0 {
+		return []int32{}
+	}
 	scores := make(map[int32]float64)
 	own := train.Profiles[u]
 	for _, nb := range g.Lists[u].H {
@@ -123,8 +128,20 @@ func Recommend(train *dataset.Dataset, g *knng.Graph, u int32, n int) []int32 {
 	return rankScored(ranked, n, make([]int32, 0, min(n, len(ranked))))
 }
 
-// Scorer is the reusable per-worker scratch of the frozen serving path:
-// a dense per-item score accumulator plus the touched-item and ranking
+// Source is the read surface a Scorer scores over: neighbor rows and
+// training profiles. delta.View implements it — the patch-free view of
+// a frozen snapshot and an overlay's merged base + patch view alike.
+// Neighbors must return rows sorted by decreasing similarity, Profile a
+// sorted duplicate-free item set, and NumItems a bound on every item id
+// either returns.
+type Source interface {
+	NumItems() int32
+	Profile(u int32) []int32
+	Neighbors(u int32) ([]int32, []float32)
+}
+
+// Scorer is the reusable per-worker scratch of the serving path: a
+// dense per-item score accumulator plus the touched-item and ranking
 // buffers. After the first few queries a Scorer stops allocating
 // (beyond the caller's result slice). A Scorer is not safe for
 // concurrent use; give each goroutine its own (c2knn.Index pools them).
@@ -140,60 +157,23 @@ func NewScorer(numItems int32) *Scorer {
 	return &Scorer{scores: make([]float64, numItems)}
 }
 
-// Recommend is the frozen-graph scoring path: identical semantics to
-// the package-level Recommend (score = sum of recommending neighbors'
-// similarities, u's own items excluded, ties by ascending item id) but
-// reading the CSR adjacency and accumulating into the dense scratch —
-// no per-query map, no per-query allocation when dst is recycled. The
-// item ids are appended to dst; the extended slice is returned.
+// Recommend is the serving scoring path over src: identical semantics
+// to the package-level Recommend (score = sum of recommending
+// neighbors' similarities, u's own items excluded, ties by ascending
+// item id, n <= 0 yields nothing) but reading CSR-style rows and
+// accumulating into the dense scratch — no per-query map, no per-query
+// allocation when dst is recycled. u must be a user of src. The item
+// ids are appended to dst; the extended slice is returned.
 //
 // Neighbor profiles are scored as whole rows: each row is merged
 // against u's own (both sorted, duplicate-free) in one linear pass, the
 // row-batched counterpart of the per-item binary search the reference
 // path runs. Items are visited in the same order either way, so the
 // accumulated scores — and the final ranking — are bit-identical.
-func (s *Scorer) Recommend(train *dataset.Dataset, g *knng.Frozen, u int32, n int, dst []int32) []int32 {
-	if int(train.NumItems) > len(s.scores) {
-		s.scores = make([]float64, train.NumItems)
+func (s *Scorer) Recommend(src Source, u int32, n int, dst []int32) []int32 {
+	if n <= 0 {
+		return dst
 	}
-	own := train.Profiles[u]
-	ids, sims := g.Neighbors(u)
-	for i, v := range ids {
-		sim := float64(sims[i])
-		if sim <= 0 {
-			continue
-		}
-		s.accumulateRow(own, train.Profiles[v], sim)
-	}
-	s.ranked = s.ranked[:0]
-	for _, it := range s.touched {
-		s.ranked = append(s.ranked, scored{it, s.scores[it]})
-		s.scores[it] = 0 // reset as we drain: scratch is clean for the next query
-	}
-	s.touched = s.touched[:0]
-	return rankScored(s.ranked, n, dst)
-}
-
-// Source is the read surface RecommendSource scores over: a graph-and-
-// profiles view that may be merged from several storages (the delta
-// overlay's base + patch view is the motivating implementation; a plain
-// dataset + frozen pair satisfies it trivially). Neighbors must return
-// rows sorted by decreasing similarity, Profile a sorted duplicate-free
-// item set, and NumItems a bound on every item id either returns.
-type Source interface {
-	NumItems() int32
-	Profile(u int32) []int32
-	Neighbors(u int32) ([]int32, []float32)
-}
-
-// RecommendSource is Recommend over a Source instead of a concrete
-// dataset + frozen pair — semantics (scores, exclusion, tie order) are
-// identical; only the storage the rows and profiles come from differs.
-// The serving path for upsert-enabled indexes: neighbor rows and
-// profiles resolve through the merged view, so recommendations reflect
-// absorbed upserts immediately. Appends to dst and returns the extended
-// slice; allocation-free when dst is recycled.
-func (s *Scorer) RecommendSource(src Source, u int32, n int, dst []int32) []int32 {
 	if int(src.NumItems()) > len(s.scores) {
 		s.scores = make([]float64, src.NumItems())
 	}
@@ -209,7 +189,7 @@ func (s *Scorer) RecommendSource(src Source, u int32, n int, dst []int32) []int3
 	s.ranked = s.ranked[:0]
 	for _, it := range s.touched {
 		s.ranked = append(s.ranked, scored{it, s.scores[it]})
-		s.scores[it] = 0
+		s.scores[it] = 0 // reset as we drain: scratch is clean for the next query
 	}
 	s.touched = s.touched[:0]
 	return rankScored(s.ranked, n, dst)
@@ -237,25 +217,6 @@ func (s *Scorer) accumulateRow(own, row []int32, sim float64) {
 	}
 }
 
-// RecommendBatch recommends n items to every user of users, reusing
-// the scorer's dense scratch across the whole batch — the serving
-// batch path: one Scorer checkout amortizes over the batch instead of
-// hitting the pool once per user. Each result is appended to out as its
-// own freshly allocated slice (results outlive the scorer); users whose
-// id falls outside the training population yield a nil entry rather
-// than a panic, mirroring the request-facing tolerance of c2knn.Index.
-// The extended out is returned.
-func (s *Scorer) RecommendBatch(train *dataset.Dataset, g *knng.Frozen, users []int32, n int, out [][]int32) [][]int32 {
-	for _, u := range users {
-		if u < 0 || int(u) >= train.NumUsers() {
-			out = append(out, nil)
-			continue
-		}
-		out = append(out, s.Recommend(train, g, u, n, nil))
-	}
-	return out
-}
-
 // Recall returns |rec ∩ test| / |test|, or -1 when test is empty (the
 // user does not participate in the average).
 func Recall(rec, test []int32) float64 {
@@ -279,13 +240,15 @@ func EvalRecall(f Fold, g *knng.Graph, n, workers int) float64 {
 	return EvalRecallFrozen(f, g.Freeze(), n, workers)
 }
 
-// EvalRecallFrozen is EvalRecall over a frozen graph: each worker owns a
+// EvalRecallFrozen is EvalRecall over a frozen graph, scored through
+// its patch-free view — the serving read path. Each worker owns a
 // Scorer and a recycled result slice, so the whole evaluation performs a
 // constant number of allocations regardless of user count.
 func EvalRecallFrozen(f Fold, g *knng.Frozen, n, workers int) float64 {
 	if workers < 1 {
 		workers = 1
 	}
+	src := delta.NewView(g, f.Train, nil)
 	users := f.Train.NumUsers()
 	partial := make([]float64, workers)
 	counts := make([]int, workers)
@@ -300,7 +263,7 @@ func EvalRecallFrozen(f Fold, g *knng.Frozen, n, workers int) float64 {
 				if len(f.Test[u]) == 0 {
 					continue
 				}
-				rec = sc.Recommend(f.Train, g, int32(u), n, rec[:0])
+				rec = sc.Recommend(src, int32(u), n, rec[:0])
 				if r := Recall(rec, f.Test[u]); r >= 0 {
 					partial[w] += r
 					counts[w]++

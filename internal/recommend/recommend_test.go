@@ -6,6 +6,7 @@ import (
 
 	"c2knn/internal/bruteforce"
 	"c2knn/internal/dataset"
+	"c2knn/internal/delta"
 	"c2knn/internal/knng"
 	"c2knn/internal/sets"
 	"c2knn/internal/similarity"
@@ -161,13 +162,13 @@ func frozenTestGraph(n, k int, seed int64) *knng.Graph {
 func TestScorerMatchesMapRecommend(t *testing.T) {
 	d := synth.Generate(synth.ML1M().Scale(0.03))
 	g := frozenTestGraph(d.NumUsers(), 8, 11)
-	f := g.Freeze()
+	src := delta.NewView(g.Freeze(), d, nil)
 	sc := NewScorer(d.NumItems)
 	var rec []int32
-	for _, n := range []int{1, 5, 30} {
+	for _, n := range []int{-1, 0, 1, 5, 30} {
 		for u := 0; u < d.NumUsers(); u++ {
 			want := Recommend(d, g, int32(u), n)
-			rec = sc.Recommend(d, f, int32(u), n, rec[:0])
+			rec = sc.Recommend(src, int32(u), n, rec[:0])
 			if len(rec) != len(want) {
 				t.Fatalf("n=%d user %d: frozen returned %d items, map path %d", n, u, len(rec), len(want))
 			}
@@ -186,11 +187,11 @@ func TestScorerScratchCleanBetweenQueries(t *testing.T) {
 	// be identical: leftover scores would double-count.
 	d := synth.Generate(synth.ML1M().Scale(0.03))
 	g := frozenTestGraph(d.NumUsers(), 8, 12)
-	f := g.Freeze()
+	src := delta.NewView(g.Freeze(), d, nil)
 	sc := NewScorer(d.NumItems)
 	for u := 0; u < 50; u++ {
-		first := append([]int32(nil), sc.Recommend(d, f, int32(u), 20, nil)...)
-		second := sc.Recommend(d, f, int32(u), 20, nil)
+		first := append([]int32(nil), sc.Recommend(src, int32(u), 20, nil)...)
+		second := sc.Recommend(src, int32(u), 20, nil)
 		if len(first) != len(second) {
 			t.Fatalf("user %d: repeat query returned %d items, first %d", u, len(second), len(first))
 		}
@@ -208,42 +209,9 @@ func TestScorerGrowsToLargerUniverse(t *testing.T) {
 	big := dataset.New("big", [][]int32{{0, 90}, {91, 95}}, 100)
 	g := knng.New(2, 1)
 	g.Insert(0, 1, 0.5)
-	rec := sc.Recommend(big, g.Freeze(), 0, 5, nil)
+	rec := sc.Recommend(delta.NewView(g.Freeze(), big, nil), 0, 5, nil)
 	if len(rec) != 2 || rec[0] != 91 || rec[1] != 95 {
 		t.Errorf("recs after growth = %v, want [91 95]", rec)
-	}
-}
-
-// TestScorerRecommendBatchMatchesSerial: the batch path is the serial
-// path with amortized scratch — results must be identical per user, and
-// ids outside the population must yield nil, not panic.
-func TestScorerRecommendBatchMatchesSerial(t *testing.T) {
-	d := synth.Generate(synth.ML1M().Scale(0.03))
-	g := frozenTestGraph(d.NumUsers(), 8, 14)
-	f := g.Freeze()
-	users := []int32{0, 3, 3, 9, -5, int32(d.NumUsers()), 1}
-	sc := NewScorer(d.NumItems)
-	got := sc.RecommendBatch(d, f, users, 12, nil)
-	if len(got) != len(users) {
-		t.Fatalf("batch returned %d results for %d users", len(got), len(users))
-	}
-	ref := NewScorer(d.NumItems)
-	for i, u := range users {
-		if u < 0 || int(u) >= d.NumUsers() {
-			if got[i] != nil {
-				t.Fatalf("out-of-range user %d got %v, want nil", u, got[i])
-			}
-			continue
-		}
-		want := ref.Recommend(d, f, u, 12, nil)
-		if len(got[i]) != len(want) {
-			t.Fatalf("user %d: batch %d items, serial %d", u, len(got[i]), len(want))
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("user %d item %d: batch %d, serial %d", u, j, got[i][j], want[j])
-			}
-		}
 	}
 }
 
@@ -293,12 +261,12 @@ func TestScorerRowMergeExclusion(t *testing.T) {
 		g.Lists[u].Insert(5, 0.8)
 		g.Lists[u].Insert(6, 0.7)
 	}
-	f := g.Freeze()
+	src := delta.NewView(g.Freeze(), d, nil)
 	sc := NewScorer(d.NumItems)
 	var rec []int32
 	for u := int32(0); u < 4; u++ {
 		want := Recommend(d, g, u, 10)
-		rec = sc.Recommend(d, f, u, 10, rec[:0])
+		rec = sc.Recommend(src, u, 10, rec[:0])
 		if len(rec) != len(want) {
 			t.Fatalf("user %d: %d items vs %d (%v vs %v)", u, len(rec), len(want), rec, want)
 		}
