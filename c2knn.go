@@ -52,14 +52,12 @@ type LocalSim = similarity.Local
 
 // BuildOptions parameterizes BuildC2; the zero value is the paper's
 // configuration (k=30, b=4096, t=8, N=2000, ρ=5, recursive splitting on,
-// largest-first scheduling, hybrid local solver) with the pipelined
-// build enabled. Set DisablePipeline to restore the historical
-// cluster-everything-then-solve barrier.
+// largest-first scheduling, hybrid local solver).
 type BuildOptions = core.Options
 
-// C2Stats reports clustering and timing details of a BuildC2 run,
-// including the per-phase wall-clock times and the clustering/solving
-// overlap recovered by the pipeline (OverlapTime, MaxQueueDepth).
+// C2Stats reports clustering and timing details of a BuildC2 run:
+// cluster and split counts, clusters per local solver, and the
+// per-phase wall-clock times (ClusterTime + KNNTime == TotalTime).
 type C2Stats = core.Stats
 
 // SynthConfig describes a synthetic dataset; see Presets.
@@ -114,14 +112,14 @@ func NewGoldFinger(d *Dataset, bits int) (Similarity, error) {
 // NewGoldFinger provider to reproduce the paper's configuration, or
 // ExactJaccard for exact similarities.
 //
-// Clustering and solving are pipelined: the t clustering configurations
-// hash concurrently and stream finalized clusters into a
-// size-prioritized queue drained by the solver pool, so the first
-// clusters are solved and merged while later configurations are still
-// hashing. For a fixed Seed the produced cluster set — and each
-// cluster's local solution — is identical to the barrier path's
-// (opts.DisablePipeline); only the merge interleaving, and therefore
-// tie-breaking among equal-similarity neighbors, may differ.
+// The t clustering configurations are hashed concurrently; every
+// cluster is then solved by a pool of opts.Workers workers (default
+// GOMAXPROCS) in decreasing size order, each worker merging the cluster
+// it just solved. For a fixed Seed the cluster set and each cluster's
+// local solution do not depend on the worker count; with Workers: 1 the
+// whole build is bit-deterministic, while more workers may change the
+// merge interleaving and so tie-breaking among equal-similarity
+// neighbors.
 func BuildC2(d *Dataset, sim Similarity, opts BuildOptions) (*Graph, C2Stats) {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)

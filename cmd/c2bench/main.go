@@ -10,7 +10,7 @@
 //	c2bench -exp all -scale 0.05 -workers 4
 //
 // Experiments: table1, table2, table3, table4, table5, fig6, fig7, fig8,
-// theory, ablations, pipeline, serve, serve-http, solve, shard, load, update, all.
+// theory, ablations, serve, serve-http, solve, shard, load, update, all.
 package main
 
 import (
@@ -27,8 +27,8 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, theory, ablations, pipeline, serve, serve-http, solve, shard, load, update, all")
-		jsonOut  = flag.String("json", "", "write the pipeline/serve/serve-http/solve/shard/load/update experiment's summary as JSON to this file (CI records them as benchmarks/BENCH_pipeline.json, BENCH_serve.json, BENCH_http.json, BENCH_solve.json, BENCH_shard.json, BENCH_load.json and BENCH_update.json); when several such experiments run, the experiment name is inserted before the extension")
+		exp      = flag.String("exp", "all", "experiment to run: table1..table5, fig6..fig8, theory, ablations, serve, serve-http, solve, shard, load, update, all")
+		jsonOut  = flag.String("json", "", "write the serve/serve-http/solve/shard/load/update experiment's summary as JSON to this file (CI records them as benchmarks/BENCH_serve.json, BENCH_http.json, BENCH_solve.json, BENCH_shard.json, BENCH_load.json and BENCH_update.json); when several such experiments run, the experiment name is inserted before the extension")
 		scale    = flag.Float64("scale", 0.05, "dataset scale factor (1 = paper size)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		seed     = flag.Int64("seed", 42, "master random seed")
@@ -67,13 +67,6 @@ func main() {
 		"fig8":      func() error { _, err := env.Fig8(); return err },
 		"theory":    func() error { _, err := env.Theory(); return err },
 		"ablations": func() error { _, err := env.Ablations(); return err },
-		"pipeline": func() error {
-			_, sum, err := env.Pipeline()
-			if err != nil {
-				return err
-			}
-			return writeSummary(jsonPath("pipeline"), sum)
-		},
 		"serve": func() error {
 			sum, err := env.Serve()
 			if err != nil {
@@ -117,7 +110,7 @@ func main() {
 			return writeSummary(jsonPath("update"), sum)
 		},
 	}
-	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "theory", "ablations", "pipeline", "serve", "serve-http", "solve", "shard", "load", "update"}
+	order := []string{"table1", "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "theory", "ablations", "serve", "serve-http", "solve", "shard", "load", "update"}
 
 	var toRun []string
 	if *exp == "all" {
@@ -136,10 +129,10 @@ func main() {
 	// When several JSON-producing experiments run in one invocation, a
 	// single -json path would be silently overwritten by the last one;
 	// disambiguate by inserting the experiment name before the extension
-	// (out.json → out.pipeline.json, out.serve.json, out.solve.json).
+	// (out.json → out.serve.json, out.solve.json, out.load.json).
 	jsonProducers := 0
 	for _, name := range toRun {
-		if name == "pipeline" || name == "serve" || name == "serve-http" || name == "solve" || name == "shard" || name == "load" || name == "update" {
+		if name == "serve" || name == "serve-http" || name == "solve" || name == "shard" || name == "load" || name == "update" {
 			jsonProducers++
 		}
 	}

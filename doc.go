@@ -80,16 +80,16 @@
 // call, scalar tail in Go, and a byte-identity test against the scalar
 // reference before dispatch is wired up.
 //
-// # Pipelined clustering
+// # Scheduling
 //
-// BuildC2 streams clusters into the solver pool as the t clustering
-// configurations discover them, instead of materializing all t×b
-// clusters before the first worker starts: each configuration hashes
-// independently and pushes finalized clusters into a concurrent
-// size-prioritized queue drained by the workers, so clustering and
-// solving overlap (the assumption of the paper's §II-F cost model).
-// C2Stats reports the per-phase wall-clock times and the recovered
-// overlap; BuildOptions.DisablePipeline restores the serial barrier.
+// BuildC2 hashes the t clustering configurations concurrently, then
+// hands every cluster to the solver pool in one global decreasing-size
+// order — the paper's synchronized priority queue (§II-F) — so the
+// largest clusters start first and stragglers stay short. Overlapping
+// hashing with solving buys nothing here: a configuration yields no
+// cluster until it has hashed every user, so the whole cluster list is
+// ready before the first solve could start anyway. C2Stats reports
+// ClusterTime and KNNTime, which sum to TotalTime.
 //
 // # Frozen graphs and the serving layer
 //

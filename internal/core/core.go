@@ -13,14 +13,13 @@
 //  3. Merging — partial graphs are folded user-by-user into bounded
 //     k-heaps, reusing the similarities already computed (Algorithm 3).
 //
-// The three steps are pipelined: the t clustering configurations run
-// concurrently and stream finalized clusters into a size-prioritized
-// queue (schedule.Queue) consumed by the solver pool, so the first
-// clusters are being solved and merged while later configurations are
-// still hashing — the overlap the paper's cost model (§II-F) assumes.
-// Options.DisablePipeline restores the historical barrier behaviour
-// (cluster everything serially, then solve), kept as the baseline of
-// the pipeline equivalence tests and overlap benchmarks.
+// Step 1 clusters the t configurations concurrently (they are
+// independent) and materializes every cluster; step 2 then orders the
+// whole cluster list by decreasing size (schedule.LargestFirst) and a
+// schedule.Run worker pool drains it, each worker merging the cluster it
+// just solved. This is the paper's synchronized decreasing-size queue
+// (§II-F) with a global order, so a single-worker build is
+// bit-deterministic for a fixed Seed.
 //
 // The package also exposes the ablations evaluated by the paper and by
 // this repository's benchmarks: MinHash clustering in place of
@@ -30,7 +29,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"c2knn/internal/bruteforce"
@@ -75,11 +73,12 @@ type Scheduling int
 
 const (
 	// ScheduleLargestFirst is the paper's decreasing-size priority
-	// queue. Under the pipeline it applies to the clusters available at
-	// pop time; with the pipeline disabled every cluster is available
-	// and the order is the paper's global one.
+	// queue over every cluster of every configuration (ties in
+	// production order).
 	ScheduleLargestFirst Scheduling = iota
-	// ScheduleFIFO processes clusters in production order (ablation).
+	// ScheduleFIFO processes clusters in production order —
+	// configuration by configuration, each in its clustering order
+	// (ablation).
 	ScheduleFIFO
 )
 
@@ -93,8 +92,7 @@ func (s Scheduling) String() string {
 
 // Options parameterizes a C² run. The zero value (after defaulting) is
 // the paper's configuration: k=30, b=4096, t=8, N=2000, ρ=5, hybrid local
-// solver, largest-first scheduling, recursive splitting on, pipelined
-// clustering.
+// solver, largest-first scheduling, recursive splitting on.
 type Options struct {
 	// K is the neighborhood size (default 30).
 	K int
@@ -111,19 +109,16 @@ type Options struct {
 	Rho int
 	// Delta is the local Hyrec termination threshold (default 0.001).
 	Delta float64
-	// Workers sizes the cluster-processing pool (default 1).
+	// Workers sizes the cluster-processing pool (default 1). For a
+	// fixed Seed the cluster set and every cluster's local solution do
+	// not depend on it; with more than one worker the merge
+	// interleaving, and so tie-breaking among equal-similarity
+	// neighbors, can differ between runs.
 	Workers int
 	// Seed drives the hash family and local Hyrec initializations.
 	Seed int64
 	// DisableSplitting turns recursive splitting off (ablation).
 	DisableSplitting bool
-	// DisablePipeline restores the pre-pipeline barrier: every cluster
-	// is materialized, serially, before the first worker starts
-	// solving. For a fixed Seed the cluster set and each cluster's
-	// local solution are identical with and without the pipeline; only
-	// the merge interleaving (and therefore tie-breaking among
-	// equal-similarity neighbors) can differ.
-	DisablePipeline bool
 	// Scheduling selects the cluster processing order.
 	Scheduling Scheduling
 	// LocalSolver selects the per-cluster algorithm.
@@ -159,8 +154,7 @@ func (o *Options) setDefaults() {
 }
 
 // Stats reports how a C² run unfolded, including the per-phase timings
-// and clustering/solving overlap the paper's performance analysis
-// (§II-F) rests on.
+// the paper's performance analysis (§II-F) rests on.
 type Stats struct {
 	// Clusters is the number of clusters produced by step 1.
 	Clusters int
@@ -174,45 +168,22 @@ type Stats struct {
 	BruteForced int
 	Hyreced     int
 	Skipped     int
-	// ClusterTime is the wall-clock duration of step 1 (first hash to
-	// last emitted cluster). KNNTime is the wall-clock duration of
-	// steps 2+3, measured from the first cluster a worker actually
-	// popped — not from pool start, so time the pool spent blocked
-	// waiting for the first cluster is excluded — to the last merge
-	// (local KNN and merging overlap by design: each worker merges the
-	// cluster it just solved).
+	// ClusterTime is the wall-clock duration of step 1 (hashing and
+	// splitting every configuration). KNNTime is the wall-clock
+	// duration of steps 2+3, from ordering the clusters to the last
+	// merge (local KNN and merging interleave: each worker merges the
+	// cluster it just solved). ClusterTime + KNNTime == TotalTime.
 	ClusterTime time.Duration
 	KNNTime     time.Duration
 	// TotalTime is the end-to-end wall-clock time of Build.
 	TotalTime time.Duration
-	// OverlapTime is how long clustering and solving were in progress
-	// simultaneously: from the first solved cluster to the last emitted
-	// one, clamped at zero — the serial latency the pipeline recovered.
-	// Zero when DisablePipeline is set (solving starts after the last
-	// emission by construction).
-	OverlapTime time.Duration
-	// MaxQueueDepth is the high-water mark of clusters waiting in the
-	// pipeline queue — how far production ran ahead of the solver pool.
-	// With DisablePipeline set it equals Clusters.
-	MaxQueueDepth int
-	// Pipelined records whether the streaming pipeline was used.
-	Pipelined bool
 }
 
-// clusterJob is one unit of step-2 work: a finalized cluster plus the
-// seed of its local solve. The seed derives from the cluster's
-// configuration and per-configuration emission rank — both stable for a
-// fixed Options.Seed regardless of worker count or pipeline
-// interleaving — so the cluster set and every per-cluster solution are
-// identical between the pipelined and barrier paths.
-type clusterJob struct {
-	users []int32
-	seed  int64
-}
-
-// jobSeed derives the local-solver seed of the seq-th cluster emitted
+// jobSeed derives the local-solver seed of the seq-th cluster produced
 // by configuration fn. Configurations are spaced 2³² apart, far beyond
-// any per-configuration cluster count.
+// any per-configuration cluster count. The seed depends only on the
+// cluster's configuration and rank, never on the worker count or the
+// processing order.
 func jobSeed(seed int64, fn int, seq int64) int64 {
 	return seed + int64(fn+1)<<32 + seq
 }
@@ -222,37 +193,21 @@ func jobSeed(seed int64, fn int, seq int64) int64 {
 // default setup, exact Jaccard for the Table V "raw data" variant).
 func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, Stats) {
 	o.setDefaults()
-	var stats Stats
-	stats.Pipelined = !o.DisablePipeline
 	start := time.Now()
+	clusters, cs := cluster(d, o)
+	clusterEnd := time.Now()
 
-	q := schedule.NewQueue[clusterJob](o.Scheduling == ScheduleFIFO)
-	// seqs[fn] is only ever touched by configuration fn's producer
-	// goroutine, so per-element access is race-free.
+	seeds := make([]int64, len(clusters))
 	seqs := make([]int64, o.T)
-	emit := func(c frh.Cluster) {
-		seed := jobSeed(o.Seed, c.Fn, seqs[c.Fn])
+	for i, c := range clusters {
+		seeds[i] = jobSeed(o.Seed, c.Fn, seqs[c.Fn])
 		seqs[c.Fn]++
-		q.Push(clusterJob{users: c.Users, seed: seed}, len(c.Users))
 	}
-
-	var clusterStats frh.Stats
-	var clusterEnd time.Time
-	produce := func() {
-		if o.UseMinHash {
-			clusterStats = minhashProduce(d, o, emit)
-		} else {
-			fo := frh.Options{B: o.B, T: o.T, MaxSize: o.MaxClusterSize, Seed: o.Seed}
-			if o.DisableSplitting {
-				fo.MaxSize = -1
-			}
-			if o.DisablePipeline {
-				fo.Parallelism = 1 // the historical serial step 1
-			}
-			clusterStats = frh.Stream(d, fo, emit)
-		}
-		clusterEnd = time.Now()
-		q.Close()
+	var order []int
+	if o.Scheduling == ScheduleFIFO {
+		order = schedule.FIFO(len(clusters))
+	} else {
+		order = schedule.LargestFirst(frh.Sizes(clusters))
 	}
 
 	g := knng.New(d.NumUsers(), o.K)
@@ -262,80 +217,60 @@ func Build(d *dataset.Dataset, p similarity.Provider, o Options) (*knng.Graph, S
 	// steady-state cluster processing allocates nothing — and private
 	// counters aggregated after the pool drains.
 	workers := make([]workerState, o.Workers)
-	// solveStart marks the first cluster a worker actually popped; the
-	// Once write is read by the main goroutine only after the pool's
-	// WaitGroup, so no further synchronization is needed.
-	var solveOnce sync.Once
-	var solveStart time.Time
-	consume := func(worker int) {
+	schedule.Run(o.Workers, order, func(worker, job int) {
 		ws := &workers[worker]
-		for {
-			job, ok := q.Pop()
-			if !ok {
-				return
-			}
-			solveOnce.Do(func() { solveStart = time.Now() })
-			if len(job.users) < 2 {
-				ws.skipped++
-				continue
-			}
-			similarity.GatherInto(p, job.users, &ws.loc)
-			var lists []knng.List
-			if useHyrec(o, len(job.users)) {
-				ws.hyreced++
-				lists = hyrec.LocalInto(&ws.loc, o.K, hyrec.Options{
-					Delta:   o.Delta,
-					MaxIter: o.Rho,
-					Seed:    job.seed,
-				}, &ws.hy)
-			} else {
-				ws.bruteForced++
-				lists = bruteforce.LocalInto(&ws.loc, o.K, &ws.bf)
-			}
-			for i := range lists {
-				shared.MergeUser(job.users[i], lists[i].H)
-			}
+		users := clusters[job].Users
+		if len(users) < 2 {
+			ws.skipped++
+			return
 		}
-	}
-
-	if o.DisablePipeline {
-		// Barrier: step 1 completes (and the queue holds every cluster,
-		// so largest-first is global) before the pool starts.
-		produce()
-		runPool(o.Workers, consume)
-	} else {
-		var producerWG sync.WaitGroup
-		producerWG.Add(1)
-		go func() {
-			defer producerWG.Done()
-			produce()
-		}()
-		runPool(o.Workers, consume)
-		producerWG.Wait()
-	}
+		similarity.GatherInto(p, users, &ws.loc)
+		var lists []knng.List
+		if useHyrec(o, len(users)) {
+			ws.hyreced++
+			lists = hyrec.LocalInto(&ws.loc, o.K, hyrec.Options{
+				Delta:   o.Delta,
+				MaxIter: o.Rho,
+				Seed:    seeds[job],
+			}, &ws.hy)
+		} else {
+			ws.bruteForced++
+			lists = bruteforce.LocalInto(&ws.loc, o.K, &ws.bf)
+		}
+		for i := range lists {
+			shared.MergeUser(users[i], lists[i].H)
+		}
+	})
 	end := time.Now()
 
-	stats.Clusters = clusterStats.Clusters
-	stats.Splits = clusterStats.Splits
-	stats.MaxCluster = clusterStats.MaxCluster
+	stats := Stats{
+		Clusters:    cs.Clusters,
+		Splits:      cs.Splits,
+		MaxCluster:  cs.MaxCluster,
+		ClusterTime: clusterEnd.Sub(start),
+		KNNTime:     end.Sub(clusterEnd),
+		TotalTime:   end.Sub(start),
+	}
 	for i := range workers {
 		stats.BruteForced += workers[i].bruteForced
 		stats.Hyreced += workers[i].hyreced
 		stats.Skipped += workers[i].skipped
 	}
-	stats.ClusterTime = clusterEnd.Sub(start)
-	stats.TotalTime = end.Sub(start)
-	if !solveStart.IsZero() {
-		stats.KNNTime = end.Sub(solveStart)
-		// Solving started before the last cluster was emitted ⇒ the two
-		// phases genuinely ran concurrently for the difference. Under
-		// the barrier solveStart follows clusterEnd, clamping to zero.
-		if overlap := clusterEnd.Sub(solveStart); overlap > 0 {
-			stats.OverlapTime = overlap
-		}
-	}
-	stats.MaxQueueDepth = q.MaxDepth()
 	return g, stats
+}
+
+// cluster runs step 1: FastRandomHash (or, for the MinHash ablation,
+// MinHash bucketing), every configuration concurrently, returning the
+// clusters in configuration-major order.
+func cluster(d *dataset.Dataset, o Options) ([]frh.Cluster, frh.Stats) {
+	if o.UseMinHash {
+		return minhashClusters(d, o)
+	}
+	fo := frh.Options{B: o.B, T: o.T, MaxSize: o.MaxClusterSize, Seed: o.Seed}
+	if o.DisableSplitting {
+		fo.MaxSize = -1
+	}
+	return frh.Build(d, fo)
 }
 
 // workerState is one worker's reusable state: the gathered similarity
@@ -350,20 +285,6 @@ type workerState struct {
 	bruteForced int
 	hyreced     int
 	skipped     int
-}
-
-// runPool runs consume(worker) on `workers` goroutines and returns when
-// all have drained the queue.
-func runPool(workers int, consume func(worker int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			consume(worker)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // useHyrec applies Algorithm 2's switch rule under the configured solver
@@ -383,27 +304,20 @@ func useHyrec(o Options, size int) bool {
 	}
 }
 
-// minhashProduce emits the clusters of the C²/MinHash ablation (§V-C):
-// users bucketed by t MinHash functions, one bucket set per function,
-// without splitting. Each configuration emits its buckets in increasing
-// hash order (minhash.Buckets) through the same fan-out frh's producers
-// use: concurrent configurations in pipeline mode, the historical
-// serial loop under DisablePipeline.
-func minhashProduce(d *dataset.Dataset, o Options, emit func(frh.Cluster)) frh.Stats {
+// minhashClusters builds the clusters of the C²/MinHash ablation
+// (§V-C): users bucketed by t MinHash functions, one bucket set per
+// function, without splitting. Each configuration lists its buckets in
+// increasing hash order (minhash.Buckets), collected through the same
+// per-configuration fan-out as FastRandomHash.
+func minhashClusters(d *dataset.Dataset, o Options) ([]frh.Cluster, frh.Stats) {
 	fam := minhash.New(o.T, o.Seed)
-	parallelism := 0
-	if o.DisablePipeline {
-		parallelism = 1
-	}
-	return frh.MergeStats(frh.ForEachFn(o.T, parallelism, func(fn int) frh.Stats {
+	return frh.Collect(o.T, func(fn int, emit func(frh.Cluster)) frh.Stats {
 		var s frh.Stats
 		for _, b := range fam.Buckets(fn, d.Profiles) {
 			s.Clusters++
-			if len(b.Users) > s.MaxCluster {
-				s.MaxCluster = len(b.Users)
-			}
+			s.MaxCluster = max(s.MaxCluster, len(b.Users))
 			emit(frh.Cluster{Fn: fn, Index: b.Value, Users: b.Users})
 		}
 		return s
-	}))
+	})
 }

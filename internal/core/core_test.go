@@ -88,19 +88,100 @@ func TestSimilarityReuseNoRecomputation(t *testing.T) {
 	}
 }
 
-func TestWorkerInvariance(t *testing.T) {
+// checkWorkerInvariance builds the graph with one worker and with
+// workers, and fails if the two qualities differ by more than 0.02.
+func checkWorkerInvariance(t *testing.T, seed int64, workers int) {
+	t.Helper()
 	b, raw := testData(t)
-	opts := Options{K: 10, B: 256, T: 6, MaxClusterSize: 100, Seed: 7}
+	opts := Options{K: 10, B: 256, T: 6, MaxClusterSize: 100, Seed: seed}
 	o1 := opts
 	o1.Workers = 1
-	o4 := opts
-	o4.Workers = 4
+	on := opts
+	on.Workers = workers
 	g1, _ := Build(b.data, b.gf, o1)
-	g4, _ := Build(b.data, b.gf, o4)
+	gn, _ := Build(b.data, b.gf, on)
 	q1 := knng.Quality(g1, b.exact, raw)
-	q4 := knng.Quality(g4, b.exact, raw)
-	if diff := q1 - q4; diff > 0.02 || diff < -0.02 {
-		t.Errorf("quality depends on workers: %.3f vs %.3f", q1, q4)
+	qn := knng.Quality(gn, b.exact, raw)
+	if diff := q1 - qn; diff > 0.02 || diff < -0.02 {
+		t.Errorf("seed %d: quality depends on workers: %.3f (1) vs %.3f (%d)", seed, q1, qn, workers)
+	}
+}
+
+// TestWorkerInvariance: the graph quality must not depend on the worker
+// count.
+func TestWorkerInvariance(t *testing.T) { checkWorkerInvariance(t, 7, 4) }
+
+// TestPipelineWorkerInvariance: the whole cluster → solve → merge build
+// keeps its quality at a high worker count, where the solvers and the
+// merge of their results interleave the most.
+func TestPipelineWorkerInvariance(t *testing.T) { checkWorkerInvariance(t, 47, 8) }
+
+// TestBuildDeterministic: for a fixed seed, a single-worker build is
+// bit-deterministic — the cluster list, the global largest-first (or
+// FIFO) order and every cluster's solver seed are fixed, so the merge
+// order is too. A multi-worker build changes only the merge
+// interleaving: it clusters identically and makes the same solver
+// decisions.
+func TestBuildDeterministic(t *testing.T) {
+	b, _ := testData(t)
+	base := Options{K: 10, B: 128, T: 6, MaxClusterSize: 100, Workers: 1, Seed: 37}
+	for _, v := range []struct {
+		name string
+		mod  func(*Options)
+	}{
+		{"default", func(*Options) {}},
+		{"fifo", func(o *Options) { o.Scheduling = ScheduleFIFO }},
+		{"no-splitting", func(o *Options) { o.DisableSplitting = true }},
+		{"minhash", func(o *Options) { o.UseMinHash = true }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			opts := base
+			v.mod(&opts)
+			g1, s1 := Build(b.data, b.gf, opts)
+			g2, _ := Build(b.data, b.gf, opts)
+			graphsIdentical(t, g1, g2)
+
+			opts.Workers = 4
+			_, s4 := Build(b.data, b.gf, opts)
+			if s1.Clusters != s4.Clusters || s1.Splits != s4.Splits || s1.MaxCluster != s4.MaxCluster {
+				t.Fatalf("cluster sets differ: 1 worker %+v vs 4 workers %+v", s1, s4)
+			}
+			if s1.BruteForced != s4.BruteForced || s1.Hyreced != s4.Hyreced || s1.Skipped != s4.Skipped {
+				t.Fatalf("solver counters differ: 1 worker (%d,%d,%d) vs 4 workers (%d,%d,%d)",
+					s1.BruteForced, s1.Hyreced, s1.Skipped, s4.BruteForced, s4.Hyreced, s4.Skipped)
+			}
+		})
+	}
+}
+
+// TestSolverCountersInvariant: every produced cluster is accounted for —
+// solved by exactly one solver or skipped as sub-2-user.
+func TestSolverCountersInvariant(t *testing.T) {
+	b, _ := testData(t)
+	for _, mh := range []bool{false, true} {
+		_, s := Build(b.data, b.gf, Options{
+			K: 10, B: 256, T: 4, MaxClusterSize: 80,
+			Workers: 3, Seed: 41, UseMinHash: mh,
+		})
+		if got := s.BruteForced + s.Hyreced + s.Skipped; got != s.Clusters {
+			t.Errorf("minhash=%v: BruteForced+Hyreced+Skipped = %d, want Clusters = %d", mh, got, s.Clusters)
+		}
+		if mh && s.Skipped != 0 {
+			t.Errorf("minhash buckets drop singletons, yet Skipped = %d", s.Skipped)
+		}
+	}
+}
+
+// TestStatsPhaseTimings: every phase is timed, and the two phases
+// partition the build.
+func TestStatsPhaseTimings(t *testing.T) {
+	b, _ := testData(t)
+	_, s := Build(b.data, b.gf, Options{K: 10, B: 128, T: 6, MaxClusterSize: 100, Workers: 4, Seed: 43})
+	if s.ClusterTime <= 0 || s.KNNTime <= 0 || s.TotalTime <= 0 {
+		t.Errorf("phase timings not populated: %+v", s)
+	}
+	if s.ClusterTime+s.KNNTime != s.TotalTime {
+		t.Errorf("ClusterTime %v + KNNTime %v != TotalTime %v", s.ClusterTime, s.KNNTime, s.TotalTime)
 	}
 }
 
@@ -248,13 +329,11 @@ func graphsIdentical(t *testing.T, a, b *knng.Graph) {
 // TestKernelEquivalenceBuild: for a fixed seed, Build through the
 // gathered fast-path kernels must produce a graph bit-identical — same
 // heap layouts, same float64 similarities — to Build through plain
-// Provider dispatch. Workers is 1 and the pipeline is disabled so the
-// merge order is fully deterministic and the comparison is exact (the
-// pipeline's arrival interleaving would make single-worker pop order
-// scheduling-dependent).
+// Provider dispatch. Workers is 1, so the merge order is fully
+// deterministic and the comparison is exact.
 func TestKernelEquivalenceBuild(t *testing.T) {
 	b, _ := testData(t)
-	opts := Options{K: 10, B: 128, T: 6, MaxClusterSize: 120, Workers: 1, Seed: 21, DisablePipeline: true}
+	opts := Options{K: 10, B: 128, T: 6, MaxClusterSize: 120, Workers: 1, Seed: 21}
 	for _, tc := range []struct {
 		name string
 		p    similarity.Provider
@@ -279,7 +358,7 @@ func TestKernelEquivalenceSolvers(t *testing.T) {
 	for _, solver := range []LocalSolver{SolverBruteForce, SolverHyrec} {
 		opts := Options{
 			K: 10, B: 32, T: 4, MaxClusterSize: 2000,
-			Workers: 1, Seed: 23, LocalSolver: solver, DisablePipeline: true,
+			Workers: 1, Seed: 23, LocalSolver: solver,
 		}
 		fast, _ := Build(b.data, b.gf, opts)
 		slow, _ := Build(b.data, dispatchOnly{b.gf}, opts)

@@ -215,7 +215,7 @@ func Attach(graph *knng.Frozen, train *dataset.Dataset, gf *goldfinger.Set, cfg 
 	t := cfg.FRH.T
 	o.buckets = make([][][]int32, t)
 	o.deltaCoarse = make([]map[uint32][]int32, t)
-	frh.ForEachFn(t, cfg.FRH.Parallelism, func(fn int) frh.Stats {
+	frh.ForEachFn(t, func(fn int) frh.Stats {
 		b := make([][]int32, cfg.FRH.B+1) // index 0 unused; hashes ∈ [1, B]
 		for u, p := range train.Profiles {
 			if idx, ok := o.hasher.UserHash(fn, p); ok {

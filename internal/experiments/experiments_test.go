@@ -313,40 +313,6 @@ func TestSoakRun(t *testing.T) {
 	}
 }
 
-// TestPipelineRun exercises the overlap experiment end to end (small
-// data) and checks the summary the CI benchmark records.
-func TestPipelineRun(t *testing.T) {
-	e := tinyEnv()
-	rows, sum, err := e.Pipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d pipeline rows, want 2", len(rows))
-	}
-	modes := map[string]PipelineRow{}
-	for _, r := range rows {
-		modes[r.Mode] = r
-		if r.Quality <= 0 || r.Total <= 0 {
-			t.Errorf("%s: degenerate row %+v", r.Mode, r)
-		}
-	}
-	if modes["pipelined"].Clusters != modes["barrier"].Clusters {
-		t.Errorf("cluster sets differ across modes: %d vs %d",
-			modes["pipelined"].Clusters, modes["barrier"].Clusters)
-	}
-	if modes["barrier"].Overlap != 0 {
-		t.Errorf("barrier overlap = %v, want 0", modes["barrier"].Overlap)
-	}
-	if sum == nil || sum.Speedup <= 0 || sum.QualityRatio <= 0 {
-		t.Fatalf("degenerate summary %+v", sum)
-	}
-	// On tiny data the speedup is noise, but quality parity is not.
-	if sum.QualityRatio < 0.999 {
-		t.Errorf("quality ratio %.4f below the 0.999 parity bound", sum.QualityRatio)
-	}
-}
-
 // TestShardRun drives the sharded-serving experiment end to end on a
 // tiny preset: the correctness invariants the CI gate enforces on
 // BENCH_shard.json must hold here too — zero failed requests, every

@@ -35,12 +35,6 @@ type Options struct {
 	MaxSize int
 	// Seed selects the family of generative hash functions.
 	Seed int64
-	// Parallelism bounds how many configurations are clustered
-	// concurrently: the t configurations are independent, so Build and
-	// Stream fan them out by default (0 = one goroutine per
-	// configuration). 1 reproduces the serial pre-pipeline behaviour;
-	// the resulting clusters are identical either way.
-	Parallelism int
 }
 
 // DefaultB, DefaultT and DefaultMaxSize are the paper's default
@@ -220,58 +214,54 @@ func Build(d *dataset.Dataset, o Options) ([]Cluster, Stats) {
 
 // BuildWithHasher is Build with a caller-provided Hasher, so experiments
 // sweeping MaxSize (Fig. 7 and 8) reuse the same hash tables across runs.
-// The t configurations are clustered concurrently (see
-// Options.Parallelism); the returned slice is always in the same
-// deterministic configuration-major order.
+// The t configurations are clustered concurrently; the returned slice is
+// always in the same deterministic configuration-major order.
 func BuildWithHasher(d *dataset.Dataset, h *Hasher, o Options) ([]Cluster, Stats) {
 	o.setDefaults()
-	perFn := make([][]Cluster, h.t)
-	fnStats := ForEachFn(h.t, o.Parallelism, func(fn int) Stats {
-		return buildFn(d, h, o, fn, func(c Cluster) {
-			perFn[fn] = append(perFn[fn], c)
-		})
+	return Collect(h.t, func(fn int, emit func(Cluster)) Stats {
+		return buildFn(d, h, o, fn, emit)
 	})
-	var clusters []Cluster
-	for fn := range perFn {
-		clusters = append(clusters, perFn[fn]...)
+}
+
+// Collect runs build for every configuration concurrently (ForEachFn)
+// and returns the clusters each one emits, concatenated in
+// configuration-major order, with the merged stats. It is how Build and
+// core's MinHash clustering materialize their cluster lists.
+func Collect(t int, build func(fn int, emit func(Cluster)) Stats) ([]Cluster, Stats) {
+	perFn := make([][]Cluster, t)
+	stats := MergeStats(ForEachFn(t, func(fn int) Stats {
+		return build(fn, func(c Cluster) { perFn[fn] = append(perFn[fn], c) })
+	}))
+	clusters := make([]Cluster, 0, stats.Clusters)
+	for _, cs := range perFn {
+		clusters = append(clusters, cs...)
 	}
-	return clusters, MergeStats(fnStats)
+	return clusters, stats
 }
 
 // Stream clusters d like Build but emits each cluster as soon as it is
-// finalized instead of materializing the full list — the producer side
-// of the pipelined C² build. emit is invoked concurrently from the
-// configuration goroutines and must be safe for concurrent use. Within
-// one configuration, clusters arrive in the same deterministic order
-// BuildWithHasher would list them; the interleaving across
-// configurations is scheduling-dependent, but the emitted cluster *set*
-// is identical to BuildWithHasher's for the same seed. Stream returns
-// once every configuration has finished emitting.
+// finalized instead of materializing the full list. emit is invoked
+// concurrently from the configuration goroutines and must be safe for
+// concurrent use. Within one configuration, clusters arrive in the same
+// deterministic order BuildWithHasher would list them; the interleaving
+// across configurations is scheduling-dependent, but the emitted cluster
+// *set* is identical to Build's for the same seed. Stream returns once
+// every configuration has finished emitting.
 func Stream(d *dataset.Dataset, o Options, emit func(Cluster)) Stats {
 	o.setDefaults()
 	h := NewHasher(d.NumItems, o)
-	return StreamWithHasher(d, h, o, emit)
-}
-
-// StreamWithHasher is Stream with a caller-provided Hasher.
-func StreamWithHasher(d *dataset.Dataset, h *Hasher, o Options, emit func(Cluster)) Stats {
-	o.setDefaults()
-	fnStats := ForEachFn(h.t, o.Parallelism, func(fn int) Stats {
+	return MergeStats(ForEachFn(h.t, func(fn int) Stats {
 		return buildFn(d, h, o, fn, emit)
-	})
-	return MergeStats(fnStats)
+	}))
 }
 
-// ForEachFn runs build for every configuration on up to parallelism
-// goroutines (0 = one per configuration) and returns the per-
-// configuration stats. It is the fan-out shared by the FRH producers
-// here and core's MinHash producer.
-func ForEachFn(t, parallelism int, build func(fn int) Stats) []Stats {
+// ForEachFn runs build for every configuration, one goroutine each —
+// the t configurations are independent — and returns the per-
+// configuration stats. It is the fan-out shared by Build, Stream and
+// the delta overlay's bucket index.
+func ForEachFn(t int, build func(fn int) Stats) []Stats {
 	fnStats := make([]Stats, t)
-	if parallelism <= 0 || parallelism > t {
-		parallelism = t
-	}
-	schedule.Run(parallelism, schedule.FIFO(t), func(_, fn int) {
+	schedule.Run(t, schedule.FIFO(t), func(_, fn int) {
 		fnStats[fn] = build(fn)
 	})
 	return fnStats

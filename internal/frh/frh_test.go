@@ -2,6 +2,7 @@ package frh
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -318,27 +319,26 @@ func TestStreamMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestParallelismInvariance: serial and fully-parallel configuration
-// builds must return byte-identical cluster lists.
+// TestParallelismInvariance: Build clusters the configurations
+// concurrently, yet must return exactly the cluster list — order,
+// indices, memberships — and stats of a serial loop over them.
 func TestParallelismInvariance(t *testing.T) {
 	d := randomDataset(500, 400, 12, 4)
-	for _, par := range []int{1, 2, 0} {
-		o := Options{B: 16, T: 3, MaxSize: 40, Seed: 5, Parallelism: par}
-		got, _ := Build(d, o)
-		want, _ := Build(d, Options{B: 16, T: 3, MaxSize: 40, Seed: 5, Parallelism: 1})
-		if len(got) != len(want) {
-			t.Fatalf("parallelism %d: %d clusters vs %d serial", par, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Fn != want[i].Fn || got[i].Index != want[i].Index || len(got[i].Users) != len(want[i].Users) {
-				t.Fatalf("parallelism %d: cluster %d differs from serial build", par, i)
-			}
-			for j := range got[i].Users {
-				if got[i].Users[j] != want[i].Users[j] {
-					t.Fatalf("parallelism %d: cluster %d memberships differ", par, i)
-				}
-			}
-		}
+	o := Options{B: 16, T: 3, MaxSize: 40, Seed: 5}
+	got, gotStats := Build(d, o)
+
+	o.setDefaults()
+	h := NewHasher(d.NumItems, o)
+	var want []Cluster
+	fnStats := make([]Stats, o.T)
+	for fn := 0; fn < o.T; fn++ {
+		fnStats[fn] = buildFn(d, h, o, fn, func(c Cluster) { want = append(want, c) })
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("concurrent Build differs from the serial configuration loop")
+	}
+	if wantStats := MergeStats(fnStats); !reflect.DeepEqual(gotStats, wantStats) {
+		t.Errorf("stats %+v, serial loop %+v", gotStats, wantStats)
 	}
 }
 

@@ -60,10 +60,9 @@ type Bucket struct {
 }
 
 // Buckets returns function fn's non-singleton buckets over profiles in
-// increasing Value order — the cluster emission consumed by the
-// C²/MinHash variant's producer. The deterministic order makes the
-// emitted cluster sequence reproducible per configuration, which the
-// pipelined build's seeding relies on. Singleton buckets contribute no
+// increasing Value order — the clusters of the C²/MinHash variant. The
+// deterministic order makes the cluster sequence reproducible per
+// configuration, which C²'s per-cluster solver seeding relies on. Singleton buckets contribute no
 // candidate pairs and are skipped, as are empty profiles (their
 // min-hash is undefined).
 func (m *Family) Buckets(fn int, profiles [][]int32) []Bucket {

@@ -2,13 +2,14 @@ package schedule
 
 import "sync"
 
-// Queue is the concurrent cluster queue of the pipelined C² build: the
+// Queue is a concurrent cluster queue for streaming producers:
 // clustering configurations push finalized clusters as they discover
-// them, while the solver pool pops concurrently — so step 2 starts on
-// the first clusters while step 1 is still hashing. Pop hands out the
-// largest currently-available item (the streaming generalization of the
+// them while a solver pool pops concurrently. Pop hands out the largest
+// currently-available item (the streaming generalization of the
 // paper's "synchronized, decreasing priority queue", §II-F); a FIFO
-// mode preserves arrival order for the scheduling ablation.
+// mode preserves arrival order. core.Build does not stream — it orders
+// the complete cluster list with LargestFirst and drains it with Run —
+// but perfbench's traced build replay still drives this queue.
 //
 // All methods are safe for concurrent use by any number of producers
 // and consumers.

@@ -10,7 +10,7 @@ import (
 
 // Property-based coverage for Queue: the example-based tests in
 // queue_test.go pin individual behaviours; these generate hundreds of
-// random workloads and check the invariants that the pipelined build
+// random workloads and check the invariants that a streaming build
 // actually depends on — no item is ever lost or duplicated under any
 // Push/Pop/Close interleaving, and delivery order follows the declared
 // discipline (largest-first with arrival tiebreak, or FIFO).

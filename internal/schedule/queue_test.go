@@ -102,7 +102,7 @@ func TestQueueCloseWhilePop(t *testing.T) {
 	}
 }
 
-// TestQueueConcurrentProducersConsumers is the pipeline shape under
+// TestQueueConcurrentProducersConsumers is the streaming shape under
 // -race: several producers stream items while consumers drain, Close
 // fires after the last push, and every item is delivered exactly once.
 func TestQueueConcurrentProducersConsumers(t *testing.T) {

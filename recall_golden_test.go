@@ -18,7 +18,7 @@ import (
 // rather than waiting for someone to read a benchmark report.
 //
 // The pinned value was measured on the deterministic configuration
-// below (single worker, pipeline disabled: bit-identical across runs
+// below (single worker: bit-identical across runs
 // and platforms, since every stage is seeded and no map iteration or
 // goroutine interleaving reaches the result). The ±0.005 band absorbs
 // legitimate float-ordering jitter if the evaluation is ever
@@ -48,7 +48,7 @@ func TestRecallGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := core.Build(f.Train, gf, core.Options{
-		K: 30, Workers: 1, Seed: 42, DisablePipeline: true,
+		K: 30, Workers: 1, Seed: 42,
 	})
 	got := recommend.EvalRecall(f, g, 30, 1)
 	t.Logf("recall@30 = %.16f (pinned %.4f ± %.3f)", got, goldenRecall, goldenTolerance)
@@ -57,12 +57,12 @@ func TestRecallGolden(t *testing.T) {
 			got, goldenRecall, goldenTolerance)
 	}
 
-	// The pipelined multi-worker build must deliver the same quality:
-	// PR 2's equivalence guarantee says only float summation order may
-	// differ, so it shares the golden band.
+	// The multi-worker build must deliver the same quality: it clusters
+	// and solves identically and only the merge interleaving may differ,
+	// so it shares the golden band.
 	gp, _ := core.Build(f.Train, gf, core.Options{K: 30, Workers: 4, Seed: 42})
 	gotP := recommend.EvalRecall(f, gp, 30, 4)
 	if math.Abs(gotP-goldenRecall) > goldenTolerance {
-		t.Fatalf("pipelined recall@30 = %.4f, pinned %.4f ± %.3f", gotP, goldenRecall, goldenTolerance)
+		t.Fatalf("4-worker recall@30 = %.4f, pinned %.4f ± %.3f", gotP, goldenRecall, goldenTolerance)
 	}
 }

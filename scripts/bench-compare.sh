@@ -25,44 +25,13 @@ skipped() { # <gate-name> <path> <reason>
   esac
 }
 
-PIPELINE_JSON="benchmarks/BENCH_pipeline.json"
-
-# Gate the pipelined-build record (scripts/bench-pipeline.sh) when it
-# exists and is fresh: the pipelined path must stay quality-equivalent
-# to the barrier path (cluster-set identity guarantees ratio ≈ 1) and
-# must not be materially slower than it. Speedup is noisy on small
-# presets and CPU-starved runners, so only a hard regression (< 0.8x)
-# fails. Records older than an hour are skipped rather than judged —
-# a stale machine-local file must not gate unrelated later runs (CI
-# regenerates the record seconds before comparing).
-if [ -f "$PIPELINE_JSON" ] && [ -n "$(find "$PIPELINE_JSON" -mmin -60 2>/dev/null)" ]; then
-  echo "pipeline overlap record ($PIPELINE_JSON):"
-  cat "$PIPELINE_JSON"
-  awk '
-    match($0, /"speedup": *[0-9.]+/)       { split(substr($0, RSTART, RLENGTH), a, ": *"); speedup = a[2] + 0 }
-    match($0, /"quality_ratio": *[0-9.]+/) { split(substr($0, RSTART, RLENGTH), a, ": *"); quality = a[2] + 0 }
-    END {
-      if (quality < 0.999) {
-        printf("pipeline quality ratio %.4f below the 0.999 parity bound\n", quality) > "/dev/stderr"
-        exit 1
-      }
-      if (speedup < 0.8) {
-        printf("pipelined build is a >20%% regression vs barrier (speedup %.2fx)\n", speedup) > "/dev/stderr"
-        exit 1
-      }
-      printf("pipeline gate ok: speedup %.2fx, quality ratio %.4f\n", speedup, quality)
-    }
-  ' "$PIPELINE_JSON"
-elif [ -f "$PIPELINE_JSON" ]; then
-  skipped pipeline "$PIPELINE_JSON" "stale (>60 min)"
-else
-  skipped pipeline "$PIPELINE_JSON" "absent (run scripts/bench-pipeline.sh)"
-fi
-
 SERVE_JSON="benchmarks/BENCH_serve.json"
 
-# Gate the serving-layer record (scripts/bench-serve.sh) the same way:
-# the frozen CSR neighbor lookup must be allocation-free and at least 2x
+# Gate the serving-layer record (scripts/bench-serve.sh) when it exists
+# and is fresh. Records older than an hour are skipped rather than
+# judged — a stale machine-local file must not gate unrelated later
+# runs (CI regenerates the record seconds before comparing). The
+# frozen CSR neighbor lookup must be allocation-free and at least 2x
 # the mutable Graph.Neighbors path (in practice it is 100-1000x, so the
 # 2x bound is robust to any runner), and frozen recommendation queries
 # must not grossly regress versus the map-scoring path (< 0.8x fails;
